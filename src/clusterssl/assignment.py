@@ -27,9 +27,6 @@ class Assignment:
     cols: tuple[int, ...]
     total_cost: float
 
-    def as_dict(self) -> dict[int, int]:
-        return {i: j for i, j in enumerate(self.cols)}
-
 
 def _check_cost_matrix(cost) -> np.ndarray:
     cm = np.asarray(cost, dtype=np.float64)
@@ -189,14 +186,8 @@ def hungarian_solve(cost) -> Assignment:
     smallest map (smallest column for the earliest row).
     """
     cm = _check_cost_matrix(cost)
-    res = _solve_rect(cm)
-    cols, total = res
+    cols, total = _solve_rect(cm)
     return Assignment(tuple(int(j) for j in cols), total)
-
-
-def _enumerate_injections(c: int, b: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(b), c)), dtype=np.int64)
-    return perms
 
 
 def brute_force_solve(cost) -> Assignment:
@@ -209,7 +200,7 @@ def brute_force_solve(cost) -> Assignment:
     c, b = cm.shape
     if b > BRUTE_FORCE_MAX_COLS:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_COLS} columns, got {b}")
-    perms = _enumerate_injections(c, b)
+    perms = np.array(list(itertools.permutations(range(b), c)), dtype=np.int64)
     totals = cm[np.arange(c)[None, :], perms].sum(axis=1)
     # exact ties accumulate different rounding depending on summation order;
     # treat near-equal totals as tied and keep the enumeration-first map

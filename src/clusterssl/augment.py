@@ -14,8 +14,7 @@ Three pipelines per data kind:
 Vector pipelines are an extension for non-image data; the image pipelines
 are the reference behavior. Ops with zero magnitude are skipped outright
 so an all-zero AugmentSpec is an exact identity. Every draw comes from
-the generator handed in (or one built from the AugmentSpec's seed field),
-so outputs are byte-reproducible.
+the generator the caller hands in, so outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class AugmentSpec:
     cutout_frac: float = 0.25
     noise_sigma: float = 0.1
     dropout_prob: float = 0.1
-    rng_seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data_shape", tuple(int(s) for s in self.data_shape))
@@ -63,23 +61,6 @@ class AugmentSpec:
     @property
     def is_image(self) -> bool:
         return len(self.data_shape) >= 2
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "data_shape": list(self.data_shape),
-            "flip_prob": self.flip_prob,
-            "max_translate_frac": self.max_translate_frac,
-            "jitter_strength": self.jitter_strength,
-            "cutout_frac": self.cutout_frac,
-            "noise_sigma": self.noise_sigma,
-            "dropout_prob": self.dropout_prob,
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentSpec":
-        return cls(**{**d, "data_shape": tuple(d["data_shape"])})
 
 
 def spec_for(kind: str, data_shape, **overrides) -> AugmentSpec:
@@ -159,27 +140,23 @@ def _cutout(x: np.ndarray, frac: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _apply_image(spec: AugmentSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "weak":
-        if spec.flip_prob and rng.random() < spec.flip_prob:
-            x = flip_image(x)
-        return _draw_translate(x, spec.max_translate_frac, rng)
+    if spec.kind == "strong":
+        for op_idx in rng.integers(0, len(_STRONG_OPS), size=_N_STRONG_DRAWS):
+            op = _STRONG_OPS[op_idx]
+            if op == "translate":
+                x = _draw_translate(x, spec.max_translate_frac, rng)
+            elif op == "jitter":
+                x = _jitter(x, spec.jitter_strength, rng)
+            elif op == "contrast":
+                x = _contrast(x, spec.jitter_strength, rng)
+            else:
+                x = _gauss_noise(x, spec.noise_sigma, rng)
+        return _cutout(x, spec.cutout_frac, rng)
     if spec.kind == "cluster":
         x = _jitter(x, spec.jitter_strength, rng)
-        if spec.flip_prob and rng.random() < spec.flip_prob:
-            x = flip_image(x)
-        return _draw_translate(x, spec.max_translate_frac, rng)
-    # strong
-    for op_idx in rng.integers(0, len(_STRONG_OPS), size=_N_STRONG_DRAWS):
-        op = _STRONG_OPS[op_idx]
-        if op == "translate":
-            x = _draw_translate(x, spec.max_translate_frac, rng)
-        elif op == "jitter":
-            x = _jitter(x, spec.jitter_strength, rng)
-        elif op == "contrast":
-            x = _contrast(x, spec.jitter_strength, rng)
-        else:
-            x = _gauss_noise(x, spec.noise_sigma, rng)
-    return _cutout(x, spec.cutout_frac, rng)
+    if spec.flip_prob and rng.random() < spec.flip_prob:
+        x = flip_image(x)
+    return _draw_translate(x, spec.max_translate_frac, rng)
 
 
 def _apply_vector(spec: AugmentSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -190,29 +167,13 @@ def _apply_vector(spec: AugmentSpec, x: np.ndarray, rng: np.random.Generator) ->
     return x
 
 
-def apply(spec: AugmentSpec, x, rng: np.random.Generator | None = None) -> np.ndarray:
-    """One augmented draw of a single item. Pure given (spec, x, rng state)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != spec.data_shape:
-        raise ValueError(f"input shape {x.shape} does not match spec shape {spec.data_shape}")
-    if rng is None:
-        rng = np.random.default_rng(spec.rng_seed)
-    out = _apply_image(spec, x, rng) if spec.is_image else _apply_vector(spec, x, rng)
-    return out if out is not x else x.copy()
-
-
-def apply_batch(spec: AugmentSpec, xs, rng: np.random.Generator | None = None) -> np.ndarray:
+def apply_batch(spec: AugmentSpec, xs, rng: np.random.Generator) -> np.ndarray:
     """Independent augmentations over the leading batch axis."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.shape[1:] != spec.data_shape:
         raise ValueError(f"batch item shape {xs.shape[1:]} does not match spec shape {spec.data_shape}")
-    if rng is None:
-        rng = np.random.default_rng(spec.rng_seed)
     if not spec.is_image:
         # vector pipelines vectorize over the whole batch
-        out = _gauss_noise(xs, spec.noise_sigma, rng)
-        if spec.kind == "strong" and spec.dropout_prob:
-            keep = rng.random(size=xs.shape) >= spec.dropout_prob
-            out = out * keep
+        out = _apply_vector(spec, xs, rng)
         return out if out is not xs else xs.copy()
     return np.stack([_apply_image(spec, x, rng) for x in xs]) if len(xs) else xs.copy()

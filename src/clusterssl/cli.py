@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 _THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -37,15 +38,9 @@ def _load(args):
 
     cfg = load_config(args.config)
     if getattr(args, "out", None):
-        cfg = type(cfg)(dataset=cfg.dataset, split=cfg.split, train=cfg.train,
-                        out_dir=args.out, version=cfg.version)
+        cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "seed", None) is not None:
-        from .trainer import TrainConfig
-
-        train = dict(cfg.train.to_dict(), seed=args.seed)
-        cfg = type(cfg)(dataset=cfg.dataset, split=cfg.split,
-                        train=TrainConfig.from_dict(train),
-                        out_dir=cfg.out_dir, version=cfg.version)
+        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     return cfg
 
 

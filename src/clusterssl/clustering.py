@@ -158,11 +158,12 @@ def init_target_pool(n: int, k: int, alpha: float, rng: np.random.Generator) -> 
     return TargetPool(n, k, target_class, img_to_target)
 
 
-def assign_batch(pool: TargetPool, plan: ClusterBatchPlan, outputs: np.ndarray) -> Assignment:
+def assign_batch(pool: TargetPool, plan: ClusterBatchPlan, outputs: np.ndarray) -> int:
     """Optimal pairing of the plan's targets to the batch images.
 
     cost[i][j] = ||outputs_j - t_i||^2. The pool is updated in place;
     targets are conserved and injectivity is preserved by construction.
+    Returns the number of batch images whose binding changed.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     b = plan.image_indices.shape[0]
@@ -170,12 +171,10 @@ def assign_batch(pool: TargetPool, plan: ClusterBatchPlan, outputs: np.ndarray) 
     if outputs.shape != (b, pool.k):
         raise ValueError(f"outputs shape {outputs.shape} != ({b}, {pool.k})")
     if c == 0:
-        return Assignment((), 0.0)
+        return 0
     tvecs = one_hot(pool.target_class[plan.target_indices], pool.k)
     cost = ((tvecs[:, None, :] - outputs[None, :, :]) ** 2).sum(axis=2)
-    sol = hungarian_solve(cost)
-    pool.rebind(plan, sol)
-    return sol
+    return pool.rebind(plan, hungarian_solve(cost))
 
 
 def confident_pseudo(
@@ -204,7 +203,7 @@ def clustering_loss(
     targets: np.ndarray,
     g_spec: AugmentSpec,
     r: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
     """Mean squared distance of r augmented replicas to their shared targets.
 
@@ -231,30 +230,28 @@ def clustering_loss(
     return total / (m * r), grads
 
 
-def rotnet_pass(model: Model, images: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross-entropy of the rotation head over all four 90-degree views."""
+def _rotated_logits(model: Model, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation-head logits and rotation labels for the four 90-degree views of each image."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim < 3 or images.shape[1] != images.shape[2]:
         raise ConfigurationError(
             f"rotation pretext needs square image data, got item shape {images.shape[1:]}"
         )
-    m = images.shape[0]
     views = np.concatenate([rotate90_batch(images, q) for q in range(4)])
-    labels = np.repeat(np.arange(4), m)
     _, logits = model.forward(flatten(views))
+    return logits, np.repeat(np.arange(4), images.shape[0])
+
+
+def rotnet_pass(model: Model, images: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross-entropy of the rotation head over all four 90-degree views."""
+    logits, labels = _rotated_logits(model, images)
     loss, d_logits = softmax_cross_entropy(logits, labels)
     return loss, model.backward(d_rot=d_logits)
 
 
 def rotation_accuracy(model: Model, images: np.ndarray) -> float:
     """Fraction of the 4m rotated views whose rotation the head identifies."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim < 3 or images.shape[1] != images.shape[2]:
-        raise ConfigurationError("rotation accuracy needs square image data")
-    m = images.shape[0]
-    views = np.concatenate([rotate90_batch(images, q) for q in range(4)])
-    labels = np.repeat(np.arange(4), m)
-    _, logits = model.forward(flatten(views))
+    logits, labels = _rotated_logits(model, images)
     return float((logits.argmax(axis=1) == labels).mean())
 
 
@@ -285,7 +282,6 @@ def _batched(order: np.ndarray, batch_size: int):
 def rotation_epoch(
     model: Model,
     features: np.ndarray,
-    indices: np.ndarray,
     settings: ClusterPhaseSettings,
     opt: Sgd,
     ema: EmaState,
@@ -293,7 +289,7 @@ def rotation_epoch(
     freeze: bool = False,
 ) -> float:
     """One shuffled pass of rotation-prediction updates; returns mean loss."""
-    order = indices[rng.permutation(indices.shape[0])]
+    order = rng.permutation(features.shape[0])
     losses = []
     for batch in _batched(order, settings.batch_size):
         loss, grads = rotnet_pass(model, features[batch])
@@ -308,7 +304,6 @@ def clustering_epoch(
     pool: TargetPool,
     model: Model,
     features: np.ndarray,
-    indices: np.ndarray,
     settings: ClusterPhaseSettings,
     g_spec: AugmentSpec,
     opt: Sgd,
@@ -321,18 +316,14 @@ def clustering_epoch(
     ``freeze`` runs the assignment bookkeeping without touching parameters
     (used to probe fixed points and invariants under a frozen model).
     """
-    order = indices[rng.permutation(indices.shape[0])]
+    order = rng.permutation(features.shape[0])
     cluster_losses = []
     confident_total = 0
     reassigned_total = 0
     for batch in _batched(order, settings.batch_size):
         feats = features[batch]
         f, _ = model.forward(flatten(feats))
-        plan = pool.batch_plan(batch)
-        before = pool.img_to_target[batch].copy()
-        if plan.target_indices.size:
-            assign_batch(pool, plan, f)
-            reassigned_total += int((pool.img_to_target[batch] != before).sum())
+        reassigned_total += assign_batch(pool, pool.batch_plan(batch), f)
         assigned = pool.assigned_mask(batch)
         pseudo_idx, pseudo_cls = confident_pseudo(f, assigned, settings.rule)
         confident_total += int(pseudo_idx.size)
@@ -356,6 +347,6 @@ def clustering_epoch(
 
     loss_rot = float("nan")
     if settings.rot_enabled:
-        loss_rot = rotation_epoch(model, features, indices, settings, opt, ema, rng, freeze=freeze)
+        loss_rot = rotation_epoch(model, features, settings, opt, ema, rng, freeze=freeze)
     loss_cluster = float(np.mean(cluster_losses)) if cluster_losses else float("nan")
     return ClusterEpochStats(loss_cluster, loss_rot, confident_total, reassigned_total)

@@ -239,26 +239,30 @@ def write_record(fh, arr: np.ndarray) -> None:
 
 
 def read_record(fh) -> np.ndarray:
-    """Read one tensor record; raises ValueError on corrupt or truncated data."""
+    """Read one tensor record; raises ValueError on corrupt or truncated data.
+
+    Each message names the stream offset at which the bad field starts.
+    """
+    start = fh.tell()
     head = fh.read(7)
     if len(head) < 7:
-        raise ValueError("truncated record header")
+        raise ValueError(f"truncated record header at offset {start}")
     if head[:4] != MAGIC:
-        raise ValueError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+        raise ValueError(f"bad magic {head[:4]!r} at offset {start}, expected {MAGIC!r}")
     version, code, ndim = struct.unpack("<BBB", head[4:])
     if version != RECORD_VERSION:
-        raise ValueError(f"unsupported record version {version}")
+        raise ValueError(f"unsupported record version {version} at offset {start + 4}")
     if code not in _DTYPE_CODES:
-        raise ValueError(f"unknown dtype code {code}")
+        raise ValueError(f"unknown dtype code {code} at offset {start + 5}")
     dim_bytes = fh.read(4 * ndim)
     if len(dim_bytes) < 4 * ndim:
-        raise ValueError("truncated record dims")
+        raise ValueError(f"truncated record dims at offset {start + 7}")
     shape = struct.unpack(f"<{ndim}I", dim_bytes) if ndim else ()
     dtype = _DTYPE_CODES[code]
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     payload = fh.read(count * dtype.itemsize)
     if len(payload) < count * dtype.itemsize:
-        raise ValueError("truncated record payload")
+        raise ValueError(f"truncated record payload at offset {start + 7 + 4 * ndim}")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentSpec, apply, apply_batch
+from .augment import AugmentSpec, apply_batch
 from .clustering import flatten
 from .network import Model, softmax_cross_entropy, softmax_rows
 from .optim import EmaState, Sgd, SgdConfig
@@ -46,12 +46,6 @@ class SslHyper:
         return self.mu * self.batch_size
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    class_id: int
-    confidence: float
-
-
 def class_distribution(cluster_out: np.ndarray, temperature: float) -> np.ndarray:
     """Probability rows from unit-norm head outputs: softmax(K*f / T)."""
     cluster_out = np.asarray(cluster_out, dtype=np.float64)
@@ -69,20 +63,9 @@ def _bridge_loss(
     return loss, model.backward(d_cluster=scale * d_logits)
 
 
-def pseudo_label(
-    model: Model, u: np.ndarray, g_spec: AugmentSpec, hyper: SslHyper,
-    rng: np.random.Generator | None = None,
-) -> PseudoLabel:
-    """Hard label and confidence from one weakly augmented view."""
-    aug = apply(g_spec, u, rng)
-    f, _ = model.forward(aug.reshape(1, -1))
-    probs = class_distribution(f, hyper.logit_temperature)[0]
-    return PseudoLabel(int(probs.argmax()), float(probs.max()))
-
-
 def pseudo_labels_batch(
     model: Model, u: np.ndarray, g_spec: AugmentSpec, hyper: SslHyper,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(class_ids, confidences) over a batch; no gradients are retained."""
     aug = apply_batch(g_spec, u, rng)
@@ -93,7 +76,7 @@ def pseudo_labels_batch(
 
 def labeled_loss_grads(
     model: Model, x: np.ndarray, y: np.ndarray, g_spec: AugmentSpec, hyper: SslHyper,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the weakly augmented labeled batch."""
     y = np.asarray(y, dtype=np.int64)
@@ -105,7 +88,7 @@ def labeled_loss_grads(
 
 def unlabeled_loss_grads(
     model: Model, u: np.ndarray, weak_spec: AugmentSpec, strong_spec: AugmentSpec,
-    hyper: SslHyper, rng: np.random.Generator | None = None,
+    hyper: SslHyper, rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, int]:
     """Consistency loss over confident images; (L_u, grads, n_confident).
 
@@ -146,7 +129,7 @@ def ssl_step(
     sgd: SgdConfig,
     opt: Sgd,
     ema: EmaState,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> SslStepStats:
     """One combined update on L_s + lambda_u * L_u."""
     loss_u, grads_u, n_conf = unlabeled_loss_grads(

@@ -47,13 +47,6 @@ class Sgd:
         model.set_params(theta)
 
 
-def sgd_step(model: Model, grads: np.ndarray, cfg: SgdConfig, opt: Sgd | None = None) -> None:
-    """Single update; a fresh zero-velocity buffer is used when ``opt`` is None."""
-    if opt is None:
-        opt = Sgd(model.n_params)
-    opt.step(model, grads, cfg)
-
-
 class EmaState:
     """Exponential moving average of a flat parameter vector."""
 
@@ -69,6 +62,3 @@ class EmaState:
             raise ValueError(f"parameter shape {theta.shape} != shadow shape {self.shadow.shape}")
         self.shadow = self.decay * self.shadow + (1.0 - self.decay) * theta
 
-
-def ema_update(ema: EmaState, theta: np.ndarray) -> None:
-    ema.update(theta)

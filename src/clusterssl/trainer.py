@@ -3,9 +3,10 @@ semi-supervised epochs followed by e2 clustering epochs.
 
 One master generator seeded from the config drives every random decision
 in a fixed order (model init, pool init, warmup, epochs), so runs are
-bit-reproducible and resumable: checkpoints carry parameters, EMA shadow,
-optimizer velocity, pool bindings, generator state, and the metric rows
-written so far. Evaluation always uses the EMA shadow weights.
+resumable and, for a fixed BLAS thread count, bit-reproducible: checkpoints
+carry parameters, EMA shadow, optimizer velocity, pool bindings, generator
+state, and the metric rows written so far. Evaluation always uses the EMA
+shadow weights.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import logging
 import math
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,6 +43,11 @@ from .optim import EmaState, Sgd, SgdConfig
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
+
+_CHECKPOINT_KEYS = (
+    "version", "iteration", "arch", "params", "ema_shadow", "ema_decay",
+    "velocity", "pool", "rng_state", "config", "rows",
+)
 
 CSV_COLUMNS = (
     "iter", "phase", "epoch", "L_s", "L_u", "L_c", "L_r",
@@ -210,6 +217,26 @@ def topk_permutation_accuracy(
     return curve
 
 
+# -- artifacts -------------------------------------------------------------
+
+
+@contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temporary file that replaces ``path`` when the block ends.
+
+    If the block or the write fails, ``path`` keeps its old bytes and the
+    temporary file is removed.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 # -- checkpointing ---------------------------------------------------------
 
 
@@ -250,10 +277,8 @@ def save_checkpoint(
         "config": cfg.to_dict(),
         "rows": rows,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(state, fh)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> dict:
@@ -263,9 +288,14 @@ def load_checkpoint(path: str) -> dict:
             state = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt or truncated checkpoint {path}: {exc}") from None
+    if not isinstance(state, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version} not supported (want {CHECKPOINT_VERSION})")
+    missing = [key for key in _CHECKPOINT_KEYS if key not in state]
+    if missing:
+        raise ValueError(f"checkpoint {path} lacks key(s): {', '.join(missing)}")
     model = Model.from_arch(state["arch"])
     n = model.n_params
     state["model"] = model
@@ -291,7 +321,6 @@ class _Driver:
         if cfg.rotnet and not square and cfg.warmup_rot_epochs:
             logger.warning("rotation pretext disabled: data is not square-image shaped")
         self.unl_features = dataset.features[split.unlabeled_idx]
-        self.unl_positions = np.arange(self.unl_features.shape[0])
         self.rows: list[dict] = []
         self.start_iter = 1
 
@@ -362,15 +391,15 @@ class _Driver:
         if self.out_dir is None:
             return
         os.makedirs(self.out_dir, exist_ok=True)
-        with open(os.path.join(self.out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
+        with _atomic_open(os.path.join(self.out_dir, "metrics.csv")) as fh:
             fh.write(rows_to_csv(self.rows))
 
-    def checkpoint(self, iteration: int, name: str = "checkpoint.json") -> None:
+    def checkpoint(self, iteration: int) -> None:
         if self.out_dir is None:
             return
         os.makedirs(self.out_dir, exist_ok=True)
         save_checkpoint(
-            os.path.join(self.out_dir, name),
+            os.path.join(self.out_dir, "checkpoint.json"),
             iteration=iteration, model=self.model, ema=self.ema, opt=self.opt,
             pool=self.pool, rng=self.rng, cfg=self.cfg, rows=self.rows,
         )
@@ -387,8 +416,8 @@ class _Driver:
             if not self.rot_ok:
                 break
             loss = rotation_epoch(
-                self.model, self.unl_features, self.unl_positions,
-                self.cluster_settings, self.opt, self.ema, self.rng,
+                self.model, self.unl_features, self.cluster_settings,
+                self.opt, self.ema, self.rng,
             )
             self.emit(_row(0, "warmup", epoch, L_r=loss))
 
@@ -404,8 +433,8 @@ class _Driver:
                            mask_rate=stats.mask_rate))
         for epoch in range(cfg.e2):
             stats = clustering_epoch(
-                self.pool, self.model, self.unl_features, self.unl_positions,
-                self.cluster_settings, self.g_spec, self.opt, self.ema, self.rng,
+                self.pool, self.model, self.unl_features, self.cluster_settings,
+                self.g_spec, self.opt, self.ema, self.rng,
             )
             # nan means no batch contributed (all skipped), not divergence
             loss_c = None if math.isnan(stats.loss_cluster) else stats.loss_cluster
@@ -487,7 +516,7 @@ def train(
             summary["topk_curve"] = curve.tolist()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+        with _atomic_open(os.path.join(out_dir, "summary.json")) as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
     return RunRecord(driver.rows, summary, driver.model, driver.ema, driver.pool)

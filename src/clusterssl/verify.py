@@ -49,31 +49,32 @@ def _random_cost_matrix(rng: np.random.Generator, max_size: int) -> np.ndarray:
 def verify_hungarian(
     n_matrices: int = 1000, max_size: int = 7, seed: int = 0, corrupt: bool = False
 ) -> CheckResult:
-    """Solver total must match exhaustive enumeration on every instance.
+    """Solver total and map must match exhaustive enumeration on every instance.
 
-    ``corrupt`` is a self-test hook: it biases the reported total so the
-    comparison must fail, proving the check can actually fire.
+    The map comparison holds the solver to its lexicographic tie rule, which
+    the trainer's determinism rests on. ``corrupt`` is a self-test hook: it
+    biases the reported total so the comparison must fail, proving the check
+    can actually fire.
     """
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
     for i in range(n_matrices):
         cm = _random_cost_matrix(rng, max_size)
-        got = hungarian_solve(cm).total_cost
-        if corrupt:
-            got += 1e-3
-        want = brute_force_solve(cm).total_cost
-        delta = abs(got - want)
+        got = hungarian_solve(cm)
+        want = brute_force_solve(cm)
+        delta = abs(got.total_cost + (1e-3 if corrupt else 0.0) - want.total_cost)
         worst = max(worst, delta)
-        if delta >= 1e-9:
+        if delta >= 1e-9 or got.cols != want.cols:
             return CheckResult(
                 "hungarian-vs-brute-force", False,
-                f"matrix {i} ({cm.shape[0]}x{cm.shape[1]}): |delta| = {delta:.3e}",
+                f"matrix {i} ({cm.shape[0]}x{cm.shape[1]}): |delta| = {delta:.3e}, "
+                f"map {got.cols} vs brute force {want.cols}",
                 time.perf_counter() - start,
             )
     return CheckResult(
         "hungarian-vs-brute-force", True,
-        f"{n_matrices} matrices up to {max_size}x{max_size}, max |delta| = {worst:.1e}",
+        f"{n_matrices} matrices up to {max_size}x{max_size}, maps equal, max |delta| = {worst:.1e}",
         time.perf_counter() - start,
     )
 

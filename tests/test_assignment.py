@@ -74,18 +74,28 @@ def test_brute_force_equivalence_sweep(rng):
         assert abs(fast.total_cost - slow.total_cost) < 1e-9, (trial, cm)
 
 
+def test_verify_hungarian_compares_the_map(monkeypatch):
+    import clusterssl.verify as verify
+
+    def shifted(cm):
+        # same reported total, different injective map whenever b > 1
+        sol = hungarian_solve(cm)
+        b = np.asarray(cm).shape[1]
+        return Assignment(tuple((j + 1) % b for j in sol.cols), sol.total_cost)
+
+    assert verify.verify_hungarian(n_matrices=200, seed=0).passed
+    monkeypatch.setattr(verify, "hungarian_solve", shifted)
+    res = verify.verify_hungarian(n_matrices=200, seed=0)
+    assert not res.passed
+    assert "|delta| = 0.000e+00" in res.detail and "map" in res.detail
+
+
 def test_solution_is_valid_injection(rng):
     cm = rng.uniform(0, 5, size=(6, 9))
     sol = hungarian_solve(cm)
     assert len(set(sol.cols)) == 6
     assert all(0 <= j < 9 for j in sol.cols)
     assert sol.total_cost == pytest.approx(total_for(cm, sol.cols))
-
-
-def test_as_dict_maps_rows_to_columns(rng):
-    cm = rng.uniform(0, 5, size=(3, 3))
-    sol = hungarian_solve(cm)
-    assert sol.as_dict() == {i: j for i, j in enumerate(sol.cols)}
 
 
 def test_murty_matches_enumeration(rng):

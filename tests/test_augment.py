@@ -3,7 +3,6 @@ import pytest
 
 from clusterssl.augment import (
     AugmentSpec,
-    apply,
     apply_batch,
     rotate90,
     rotate90_batch,
@@ -26,12 +25,6 @@ def test_spec_validation():
         AugmentSpec(kind="weak", data_shape=())
 
 
-def test_spec_round_trip():
-    spec = spec_for("strong", IMG, noise_sigma=0.25)
-    again = AugmentSpec.from_dict(spec.to_dict())
-    assert again == spec
-
-
 def test_strong_defaults_are_harsher():
     weak = spec_for("weak", VEC)
     strong = spec_for("strong", VEC)
@@ -39,35 +32,37 @@ def test_strong_defaults_are_harsher():
 
 
 def test_deterministic_given_seed(rng):
-    spec = spec_for("strong", IMG, rng_seed=77)
-    x = rng.normal(size=IMG)
-    a = apply(spec, x)
-    b = apply(spec, x)
+    spec = spec_for("strong", IMG)
+    xs = rng.normal(size=(3,) + IMG)
+    a = apply_batch(spec, xs, np.random.default_rng(77))
+    b = apply_batch(spec, xs, np.random.default_rng(77))
     assert np.array_equal(a, b)
-    c = apply(spec, x, rng=np.random.default_rng(99))
+    c = apply_batch(spec, xs, np.random.default_rng(99))
     assert not np.array_equal(a, c)
+    with pytest.raises(TypeError):
+        apply_batch(spec, xs)  # no hidden generator to fall back on
 
 
 def test_identity_when_magnitudes_zero(rng):
     spec = AugmentSpec(kind="weak", data_shape=VEC, noise_sigma=0.0,
                        flip_prob=0.0, max_translate_frac=0.0)
-    x = rng.normal(size=VEC)
-    out = apply(spec, x, rng=np.random.default_rng(0))
-    assert np.array_equal(out, x)
-    assert out is not x  # caller may mutate the result freely
+    xs = rng.normal(size=(3,) + VEC)
+    out = apply_batch(spec, xs, np.random.default_rng(0))
+    assert np.array_equal(out, xs)
+    assert out is not xs  # caller may mutate the result freely
 
 
 def test_shape_mismatch_rejected(rng):
     spec = spec_for("weak", IMG)
     with pytest.raises(ValueError):
-        apply(spec, rng.normal(size=(4, 4)))
+        apply_batch(spec, rng.normal(size=(2, 4, 4)), rng)
 
 
 def test_image_augs_preserve_shape_and_finiteness(rng):
-    x = rng.normal(size=IMG)
+    xs = rng.normal(size=(3,) + IMG)
     for kind in ("weak", "strong", "cluster"):
-        out = apply(spec_for(kind, IMG), x, rng=rng)
-        assert out.shape == IMG
+        out = apply_batch(spec_for(kind, IMG), xs, rng)
+        assert out.shape == xs.shape
         assert np.all(np.isfinite(out))
 
 
@@ -75,9 +70,9 @@ def test_cutout_zeroes_a_window(rng):
     spec = AugmentSpec(kind="strong", data_shape=IMG, flip_prob=0.0,
                        max_translate_frac=0.0, jitter_strength=0.0,
                        noise_sigma=0.0, cutout_frac=0.25)
-    x = np.ones(IMG)
-    out = apply(spec, x, rng=np.random.default_rng(3))
-    assert (out == 0.0).sum() >= 4  # side = round(8 * 0.5) = 4, clamped window
+    out = apply_batch(spec, np.ones((3,) + IMG), np.random.default_rng(3))
+    for img in out:
+        assert (img == 0.0).sum() >= 4  # side = round(8 * 0.5) = 4, clamped window
     assert set(np.unique(out)) <= {0.0, 1.0}
 
 
@@ -108,9 +103,8 @@ def test_translate_stays_within_bound(rng):
     # max shift of 12.5% on 8px is 1px: a distinctive corner can move by at most 1
     spec = AugmentSpec(kind="weak", data_shape=IMG, flip_prob=0.0,
                        max_translate_frac=0.125, noise_sigma=0.0)
-    x = np.zeros(IMG)
-    x[4, 4] = 1.0
-    for seed in range(20):
-        out = apply(spec, x, rng=np.random.default_rng(seed))
+    xs = np.zeros((20,) + IMG)
+    xs[:, 4, 4] = 1.0
+    for out in apply_batch(spec, xs, np.random.default_rng(0)):
         iy, ix = np.unravel_index(np.argmax(out), IMG)
         assert abs(iy - 4) <= 1 and abs(ix - 4) <= 1

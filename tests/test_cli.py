@@ -132,6 +132,10 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
     broken.write_text(open(ck).read()[:100])
     assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
     assert "corrupt" in capsys.readouterr().err
+    for payload, message in (("[]", "not a JSON object"), ('{"version": 1}', "lacks key")):
+        broken.write_text(payload)
+        assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
+        assert message in capsys.readouterr().err
 
     # vector data cannot drive the rotation-vote permutation curve
     assert main(["eval", "--config", path, "--checkpoint", ck, "--topk", "2"]) == 2

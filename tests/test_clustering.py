@@ -96,9 +96,10 @@ def test_assign_rebind_conserves_targets(rng):
     batch = np.arange(12)
     plan = pool.batch_plan(batch)
     f, _ = model.forward(feats[batch])
-    sol = assign_batch(pool, plan, f)  # rebinds the pool in place
+    before = pool.img_to_target[batch].copy()
+    changed = assign_batch(pool, plan, f)  # rebinds the pool in place
     pool.check_invariants()
-    assert len(sol.cols) == len(plan.target_indices)
+    assert changed == int((pool.img_to_target[batch] != before).sum())
     counts = np.bincount(pool.target_class, minlength=3)
     assert np.all(counts == 8)  # pool composition never changes
 
@@ -126,8 +127,7 @@ def test_assign_batch_empty_plan():
     # batch containing only unbound images after detaching everything
     plan = ClusterBatchPlan(image_indices=np.array([], dtype=np.int64),
                             target_indices=np.array([], dtype=np.int64))
-    sol = assign_batch(pool, plan, np.zeros((0, 4)))
-    assert sol.cols == () and sol.total_cost == 0.0
+    assert assign_batch(pool, plan, np.zeros((0, 4))) == 0
 
 
 def test_assign_batch_prefers_nearby_targets():
@@ -154,7 +154,7 @@ def test_clustering_loss_value_and_empty(rng):
     assert loss == pytest.approx(want, rel=1e-12)
     assert grads.shape == (model.n_params,)
     with pytest.raises(ValueError):
-        clustering_loss(model, feats[:0], targets[:0], IDENTITY_VEC, r=1)
+        clustering_loss(model, feats[:0], targets[:0], IDENTITY_VEC, r=1, rng=rng)
 
 
 def test_replicas_average_the_loss(rng):
@@ -185,8 +185,7 @@ def test_clustering_epoch_runs_and_counts(rng):
     settings = ClusterPhaseSettings(rot_enabled=False, batch_size=16)
     opt = Sgd(model.n_params)
     ema = EmaState(model.get_params(), 0.99)
-    stats = clustering_epoch(pool, model, feats, np.arange(n), settings,
-                             IDENTITY_VEC, opt, ema, rng)
+    stats = clustering_epoch(pool, model, feats, settings, IDENTITY_VEC, opt, ema, rng)
     pool.check_invariants()
     assert np.isfinite(stats.loss_cluster)
     assert stats.confident_count >= 0
@@ -204,8 +203,8 @@ def test_frozen_model_reaches_fixed_point(rng):
     ema = EmaState(model.get_params(), 0.99)
     counts = []
     for _ in range(4):
-        stats = clustering_epoch(pool, model, feats, np.arange(n), settings,
-                                 IDENTITY_VEC, opt, ema, rng, freeze=True)
+        stats = clustering_epoch(pool, model, feats, settings, IDENTITY_VEC, opt, ema, rng,
+                                 freeze=True)
         counts.append(stats.reassigned_count)
     assert counts[-1] == 0  # assignments stabilize once the model stops moving
     assert np.array_equal(model.get_params(), ema.shadow * 0 + model.get_params())
@@ -217,8 +216,7 @@ def test_rotation_epoch_freeze_keeps_params(rng):
     opt = Sgd(model.n_params)
     ema = EmaState(before, 0.99)
     feats = rng.normal(size=(12, 8, 8))
-    loss = rotation_epoch(model, feats, np.arange(12),
-                          ClusterPhaseSettings(batch_size=6), opt, ema, rng,
+    loss = rotation_epoch(model, feats, ClusterPhaseSettings(batch_size=6), opt, ema, rng,
                           freeze=True)
     assert np.isfinite(loss)
     assert np.array_equal(model.get_params(), before)

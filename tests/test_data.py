@@ -126,14 +126,36 @@ def test_record_round_trip(rng):
         assert back.dtype == arr.dtype and np.array_equal(back, arr)
 
 
-def test_record_rejects_corruption(rng):
+def test_record_rejects_corruption(rng, tmp_path):
     buf = io.BytesIO()
     write_record(buf, rng.normal(size=(4, 4)))
-    raw = buf.getvalue()
-    with pytest.raises(ValueError):
-        read_record(io.BytesIO(raw[: len(raw) - 3]))  # truncated payload
-    with pytest.raises(ValueError):
-        read_record(io.BytesIO(b"XXXX" + raw[4:]))  # bad magic
+    raw = buf.getvalue()  # 7 header bytes, 2 dims at offset 7, payload at offset 15
+    with pytest.raises(ValueError, match="truncated record payload at offset 15$"):
+        read_record(io.BytesIO(raw[: len(raw) - 3]))
+    with pytest.raises(ValueError, match="truncated record dims at offset 7$"):
+        read_record(io.BytesIO(raw[:10]))
+    with pytest.raises(ValueError, match="truncated record header at offset 0$"):
+        read_record(io.BytesIO(raw[:5]))
+    with pytest.raises(ValueError, match="bad magic b'XXXX' at offset 0,"):
+        read_record(io.BytesIO(b"XXXX" + raw[4:]))
+    with pytest.raises(ValueError, match="record version 9 at offset 4$"):
+        read_record(io.BytesIO(raw[:4] + b"\x09" + raw[5:]))
+    with pytest.raises(ValueError, match="dtype code 7 at offset 5$"):
+        read_record(io.BytesIO(raw[:5] + b"\x07" + raw[6:]))
+
+    # a corrupt second record of a dataset file reports its absolute position
+    path = tmp_path / "toy.bin"
+    save_dataset(path, make_gaussian_mixture(3, 60, 8, 4.0, seed=1))
+    data = bytearray(path.read_bytes())
+    second = 7 + 2 * 4 + 60 * 8 * 8  # features record: (60, 8) float64
+    assert data[second:second + 4] == b"CSSR"
+    data[second:second + 4] = b"XXXX"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"at offset {second},"):
+        load_dataset(path)
+    path.write_bytes(bytes(data[:second]) + raw[:4] + b"\x01\x01\x01")
+    with pytest.raises(ValueError, match=f"truncated record dims at offset {second + 7}$"):
+        load_dataset(path)
 
 
 def test_dataset_file_round_trip(tmp_path):

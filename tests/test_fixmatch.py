@@ -72,9 +72,9 @@ def test_labeled_loss_rejects_bad_labels(rng):
     model = Model(16, (8,), 4, rng=rng)
     x = rng.normal(size=(3, 16))
     with pytest.raises(ValueError):
-        labeled_loss_grads(model, x, np.array([0, 1, 4]), IDENTITY, SslHyper())
+        labeled_loss_grads(model, x, np.array([0, 1, 4]), IDENTITY, SslHyper(), rng)
     with pytest.raises(ValueError):
-        labeled_loss_grads(model, x, np.array([-1, 0, 1]), IDENTITY, SslHyper())
+        labeled_loss_grads(model, x, np.array([-1, 0, 1]), IDENTITY, SslHyper(), rng)
 
 
 def test_unlabeled_equals_labeled_on_identity_views(rng):

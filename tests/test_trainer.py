@@ -145,6 +145,49 @@ def test_checkpoint_rejects_damage(tmp_path):
     path.write_text(json.dumps({"version": 42}))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(str(path))
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        load_checkpoint(str(path))
+    path.write_text(json.dumps({"version": 1}))
+    with pytest.raises(ValueError, match="lacks key"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("name", ["checkpoint.json", "metrics.csv", "summary.json"])
+def test_failed_artifact_write_keeps_previous_file(small_gmm, tmp_path, monkeypatch, name):
+    import clusterssl.trainer as trainer_mod
+
+    ds, split = small_gmm
+    out = tmp_path / "run"
+    train(TrainConfig(**SMALL), ds, split, out_dir=str(out))
+    previous = (out / name).read_bytes()
+
+    class HalfWriter:
+        """Writes half of the first chunk, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def faulty_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return HalfWriter(fh) if os.path.basename(path).startswith(name) else fh
+
+    monkeypatch.setattr(trainer_mod, "open", faulty_open, raising=False)
+    # a different seed, so that every artifact would change
+    with pytest.raises(OSError, match="no space"):
+        train(TrainConfig(**{**SMALL, "seed": 6}), ds, split, out_dir=str(out))
+    assert (out / name).read_bytes() == previous
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "metrics.csv", "summary.json"]
 
 
 def test_alternation_accounting(small_gmm):
