@@ -1,4 +1,4 @@
-"""Command-line entry point: train / eval / verify / bench.
+"""Command-line entry point: train / eval / verify.
 
 numpy is imported lazily inside the subcommands so that ``--threads``
 can pin the BLAS pool size through environment variables before the
@@ -70,7 +70,7 @@ def cmd_eval(args) -> int:
 
     from .config import build_experiment
     from .errors import ConfigurationError
-    from .trainer import evaluate, load_checkpoint, topk_permutation_accuracy
+    from .trainer import check_fit, evaluate, load_checkpoint, topk_permutation_accuracy
 
     cfg = _load(args)
     dataset, split = build_experiment(cfg)
@@ -79,15 +79,7 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
     model = state["model"]
-    if model.k != dataset.k:
-        raise ConfigurationError(
-            f"checkpoint has {model.k} clusters but dataset has {dataset.k} classes"
-        )
-    in_dim = int(np.prod(dataset.item_shape))
-    if model.in_dim != in_dim:
-        raise ConfigurationError(
-            f"checkpoint expects {model.in_dim}-dim inputs but dataset items have {in_dim}"
-        )
+    check_fit(model, None, dataset, split)
     model.set_params(state["ema_shadow_arr"])
     if split.test_idx.size == 0:
         raise ConfigurationError("test split is empty; nothing to evaluate")
@@ -125,44 +117,6 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_bench(args) -> int:
-    import time
-
-    import numpy as np
-
-    from .assignment import hungarian_solve
-    from .network import Model
-
-    rng = np.random.default_rng(args.seed or 0)
-    print("assignment solver (ms per solve)")
-    for n in (8, 16, 32, 64):
-        reps = max(3, 256 // n)
-        dense = rng.uniform(0.0, 1.0, size=(reps, n, n))
-        base = rng.uniform(0.0, 1.0, size=(n, n))
-        tied = base[rng.integers(0, max(1, n // 8), size=n)].copy()
-        start = time.perf_counter()
-        for i in range(reps):
-            hungarian_solve(dense[i])
-        dense_ms = (time.perf_counter() - start) / reps * 1e3
-        start = time.perf_counter()
-        for _ in range(reps):
-            hungarian_solve(tied)
-        tied_ms = (time.perf_counter() - start) / reps * 1e3
-        print(f"  {n:>3}x{n:<3}  dense {dense_ms:8.2f}   tied rows {tied_ms:8.2f}")
-
-    model = Model(64, (128, 128), 10, rng=rng)
-    x = rng.normal(size=(448, 64))
-    start = time.perf_counter()
-    reps = 20
-    for _ in range(reps):
-        f, _ = model.forward(x)
-        model.backward(d_cluster=f)
-    per = (time.perf_counter() - start) / reps
-    print(f"network fwd+bwd, batch 448, 64-128-128-10: {per * 1e3:.2f} ms "
-          f"({448 / per:,.0f} rows/s)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterssl",
@@ -194,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt", action="store_true",
                    help="self-test: corrupt the solver output, expect a loud failure")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", parents=[common], help="micro-benchmarks")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -296,7 +296,7 @@ def rotation_epoch(
         losses.append(loss)
         if not freeze:
             opt.step(model, grads, settings.sgd)
-            ema.update(model.get_params())
+            ema.update(model.params)
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -343,7 +343,7 @@ def clustering_epoch(
         cluster_losses.append(loss)
         if not freeze:
             opt.step(model, grads, settings.sgd)
-            ema.update(model.get_params())
+            ema.update(model.params)
 
     loss_rot = float("nan")
     if settings.rot_enabled:

@@ -138,7 +138,7 @@ def ssl_step(
     loss_s, grads_s = labeled_loss_grads(model, labeled_x, labeled_y, weak_spec, hyper, rng)
     total = loss_s + hyper.lambda_u * loss_u
     opt.step(model, grads_s + hyper.lambda_u * grads_u, sgd)
-    ema.update(model.get_params())
+    ema.update(model.params)
     return SslStepStats(total, loss_s, loss_u, n_conf, int(np.asarray(unlabeled_x).shape[0]))
 
 

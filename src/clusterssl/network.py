@@ -3,8 +3,13 @@
 A leaky-ReLU MLP trunk feeds two heads: a K-way head whose rows are
 L2-normalized onto the unit sphere, and a 4-way logit head used for the
 rotation pretext task. Forward caches activations; backward replays the
-chain by hand (no autodiff) and returns a flat gradient vector congruent
-to the flat parameter view.
+chain by hand (no autodiff).
+
+All parameters live in one flat float64 vector; ``layer_views`` is the
+only place that knows its layout. Layers come in order trunk, cluster
+head, rotation head, and each layer holds its row-major ``(out, in)``
+weight followed by its bias. Every layer's weight and bias are views into
+the model's vector, and backward returns gradients in the same layout.
 """
 
 from __future__ import annotations
@@ -87,22 +92,35 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return loss, d_logits / m
 
 
-class AffineLayer:
-    """y = x @ W.T + b with cached input for the backward pass."""
+def layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[tuple[np.ndarray, ...]]:
+    """Per-layer ``(weight, bias)`` views into a flat vector, one per ``(out, in)`` shape."""
+    views = []
+    pos = 0
+    for out_dim, in_dim in shapes:
+        weight = flat[pos : pos + out_dim * in_dim].reshape(out_dim, in_dim)
+        pos += out_dim * in_dim
+        views.append((weight, flat[pos : pos + out_dim]))
+        pos += out_dim
+    return views
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        scale = np.sqrt(2.0 / in_dim)
-        self.weight = rng.normal(0.0, scale, size=(out_dim, in_dim))
-        self.bias = np.zeros(out_dim)
+
+class AffineLayer:
+    """y = x @ W.T + b over caller-owned weight and bias arrays."""
+
+    def __init__(self, weight: np.ndarray, bias: np.ndarray):
+        self.weight = weight
+        self.bias = bias
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.T + self.bias
 
-    def backward(self, x: np.ndarray, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        d_weight = d_out.T @ x
-        d_bias = d_out.sum(axis=0)
-        d_x = d_out @ self.weight
-        return d_x, d_weight, d_bias
+    def backward(
+        self, x: np.ndarray, d_out: np.ndarray, d_weight: np.ndarray, d_bias: np.ndarray
+    ) -> np.ndarray:
+        """Write the weight and bias gradients into ``d_weight``/``d_bias``; return d_x."""
+        np.matmul(d_out.T, x, out=d_weight)
+        d_out.sum(axis=0, out=d_bias)
+        return d_out @ self.weight
 
 
 class Model:
@@ -121,50 +139,48 @@ class Model:
         hidden_sizes: tuple[int, ...],
         k: int,
         leaky_slope: float = 0.01,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
+        """He-normal weights drawn layer by layer in layout order; zero biases."""
+        self._build(in_dim, hidden_sizes, k, leaky_slope)
+        for weight, _ in layer_views(self._params, self._shapes):
+            weight[...] = rng.normal(0.0, np.sqrt(2.0 / weight.shape[1]), size=weight.shape)
+
+    def _build(self, in_dim: int, hidden_sizes, k: int, leaky_slope: float) -> None:
+        """Set the architecture and a zero parameter vector with the layers as views into it."""
         if in_dim < 1 or k < 1:
             raise ValueError(f"in_dim and k must be positive, got {in_dim}, {k}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_dim = int(in_dim)
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.k = int(k)
         self.leaky_slope = float(leaky_slope)
-        self.trunk: list[AffineLayer] = []
-        prev = self.in_dim
-        for h in self.hidden_sizes:
-            self.trunk.append(AffineLayer(prev, h, rng))
-            prev = h
-        self.cluster_head = AffineLayer(prev, self.k, rng)
-        self.rot_head = AffineLayer(prev, self.N_ROTATIONS, rng)
+        dims = [self.in_dim, *self.hidden_sizes]
+        self._shapes = [
+            *zip(dims[1:], dims[:-1]), (self.k, dims[-1]), (self.N_ROTATIONS, dims[-1])
+        ]
+        self.n_params = sum(out_dim * (in_dim + 1) for out_dim, in_dim in self._shapes)
+        self._params = np.zeros(self.n_params)
+        *self.trunk, self.cluster_head, self.rot_head = (
+            AffineLayer(weight, bias) for weight, bias in layer_views(self._params, self._shapes)
+        )
         self._cache = None
 
     # -- parameter plumbing ------------------------------------------------
 
-    def _all_layers(self) -> list[AffineLayer]:
-        return [*self.trunk, self.cluster_head, self.rot_head]
-
     @property
-    def n_params(self) -> int:
-        return sum(layer.weight.size + layer.bias.size for layer in self._all_layers())
+    def params(self) -> np.ndarray:
+        """The parameter vector itself, not a copy; write to it only through ``set_params``."""
+        return self._params
 
     def get_params(self) -> np.ndarray:
-        return np.concatenate(
-            [np.concatenate([layer.weight.ravel(), layer.bias]) for layer in self._all_layers()]
-        )
+        return self._params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got shape {flat.shape}")
-        pos = 0
-        for layer in self._all_layers():
-            w = layer.weight.size
-            layer.weight = flat[pos : pos + w].reshape(layer.weight.shape).copy()
-            pos += w
-            b = layer.bias.size
-            layer.bias = flat[pos : pos + b].copy()
-            pos += b
+        self._params[...] = flat
 
     def arch(self) -> dict:
         return {
@@ -175,18 +191,15 @@ class Model:
         }
 
     @classmethod
-    def from_arch(cls, arch: dict) -> "Model":
-        return cls(
-            in_dim=arch["in_dim"],
-            hidden_sizes=tuple(arch["hidden_sizes"]),
-            k=arch["k"],
-            leaky_slope=arch["leaky_slope"],
-        )
+    def from_arch(cls, arch: dict, params: np.ndarray) -> "Model":
+        """A model of the given architecture holding a copy of ``params``; draws nothing."""
+        model = cls.__new__(cls)
+        model._build(arch["in_dim"], arch["hidden_sizes"], arch["k"], arch["leaky_slope"])
+        model.set_params(params)
+        return model
 
     def copy(self) -> "Model":
-        clone = Model.from_arch(self.arch())
-        clone.set_params(self.get_params())
-        return clone
+        return Model.from_arch(self.arch(), self._params)
 
     # -- forward / backward ------------------------------------------------
 
@@ -222,8 +235,9 @@ class Model:
     ) -> np.ndarray:
         """Backpropagate upstream gradients from either or both heads.
 
-        Returns a flat gradient vector congruent to ``get_params()``.
-        Raises RuntimeError if no forward pass has been cached.
+        Returns a flat gradient vector in the layout of ``params``; a head
+        without an upstream gradient gets zeros. Raises RuntimeError if no
+        forward pass has been cached.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -231,41 +245,24 @@ class Model:
         batch = acts[0].shape[0]
         penult = acts[-1]
         d_penult = np.zeros_like(penult)
-        grads_tail: list[tuple[np.ndarray, np.ndarray]] = []
+        grads = np.zeros(self.n_params)
+        *trunk_grads, cluster_grads, rot_grads = layer_views(grads, self._shapes)
 
         if d_cluster is not None:
             d_cluster = np.asarray(d_cluster, dtype=np.float64)
             if d_cluster.shape != (batch, self.k):
                 raise ValueError(f"d_cluster shape {d_cluster.shape} != {(batch, self.k)}")
             d_pre_norm = l2_normalize_rows_backward(cluster_pre, cluster_out, norms, d_cluster)
-            d_h, dw, db = self.cluster_head.backward(penult, d_pre_norm)
-            d_penult += d_h
-        else:
-            dw = np.zeros_like(self.cluster_head.weight)
-            db = np.zeros_like(self.cluster_head.bias)
-        grads_tail.append((dw, db))
+            d_penult += self.cluster_head.backward(penult, d_pre_norm, *cluster_grads)
 
         if d_rot is not None:
             d_rot = np.asarray(d_rot, dtype=np.float64)
             if d_rot.shape != (batch, self.N_ROTATIONS):
                 raise ValueError(f"d_rot shape {d_rot.shape} != {(batch, self.N_ROTATIONS)}")
-            d_h, dw, db = self.rot_head.backward(penult, d_rot)
-            d_penult += d_h
-        else:
-            dw = np.zeros_like(self.rot_head.weight)
-            db = np.zeros_like(self.rot_head.bias)
-        grads_tail.append((dw, db))
+            d_penult += self.rot_head.backward(penult, d_rot, *rot_grads)
 
-        trunk_grads: list[tuple[np.ndarray, np.ndarray]] = []
         d_h = d_penult
         for idx in range(len(self.trunk) - 1, -1, -1):
             d_z = d_h * leaky_relu_grad(pre[idx], self.leaky_slope)
-            d_h, dw, db = self.trunk[idx].backward(acts[idx], d_z)
-            trunk_grads.append((dw, db))
-        trunk_grads.reverse()
-
-        pieces = []
-        for dw, db in [*trunk_grads, *grads_tail]:
-            pieces.append(dw.ravel())
-            pieces.append(db)
-        return np.concatenate(pieces)
+            d_h = self.trunk[idx].backward(acts[idx], d_z, *trunk_grads[idx])
+        return grads

@@ -39,7 +39,7 @@ class Sgd:
             raise ValueError(f"gradient shape {grads.shape} != {self.velocity.shape}")
         if not np.all(np.isfinite(grads)):
             raise DivergenceError("non-finite gradient")
-        theta = model.get_params()
+        theta = model.params
         self.velocity = cfg.momentum * self.velocity + grads
         theta = theta - cfg.learning_rate * (self.velocity + cfg.weight_decay * theta)
         if not np.all(np.isfinite(theta)):

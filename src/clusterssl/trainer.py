@@ -87,18 +87,26 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if self.iters < 0 or self.e1 < 0 or self.e2 < 0 or self.warmup_rot_epochs < 0:
             raise ConfigurationError("iteration and epoch counts must be >= 0")
-        for name in ("lr_ssl", "lr_cluster", "divergence_limit"):
+        for name in ("lr_ssl", "lr_cluster", "divergence_limit", "logit_temperature"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        for name in ("wd_ssl", "wd_cluster"):
+        for name in ("wd_ssl", "wd_cluster", "lambda_u"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ConfigurationError(f"ema_decay must be in [0, 1), got {self.ema_decay}")
-        if self.r < 1 or self.batch_size < 1:
-            raise ConfigurationError("r and batch_size must be >= 1")
+        if self.r < 1 or self.batch_size < 1 or self.mu < 1:
+            raise ConfigurationError("r, batch_size and mu must be >= 1")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ConfigurationError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
+        if not 0.0 < self.tau < 1.0:
+            raise ConfigurationError(f"tau must be in (0, 1), got {self.tau}")
+        if not 0.0 < self.rho < 2.0:
+            raise ConfigurationError(f"rho must be in (0, 2), got {self.rho}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ConfigurationError(f"alpha must be in (0, 1], got {self.alpha}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -244,10 +252,10 @@ def _encode(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode(text: str, size: int) -> np.ndarray:
+def _decode(text: str, size: int | None = None) -> np.ndarray:
     raw = base64.b64decode(text.encode("ascii"))
     arr = np.frombuffer(raw, dtype="<f8")
-    if arr.shape != (size,):
+    if size is not None and arr.shape != (size,):
         raise ValueError(f"checkpoint array has {arr.shape[0]} values, expected {size}")
     return arr.copy()
 
@@ -268,7 +276,7 @@ def save_checkpoint(
         "version": CHECKPOINT_VERSION,
         "iteration": iteration,
         "arch": model.arch(),
-        "params": _encode(model.get_params()),
+        "params": _encode(model.params),
         "ema_shadow": _encode(ema.shadow),
         "ema_decay": ema.decay,
         "velocity": _encode(opt.velocity),
@@ -296,13 +304,30 @@ def load_checkpoint(path: str) -> dict:
     missing = [key for key in _CHECKPOINT_KEYS if key not in state]
     if missing:
         raise ValueError(f"checkpoint {path} lacks key(s): {', '.join(missing)}")
-    model = Model.from_arch(state["arch"])
+    model = Model.from_arch(state["arch"], _decode(state["params"]))
     n = model.n_params
     state["model"] = model
-    model.set_params(_decode(state["params"], n))
     state["ema_shadow_arr"] = _decode(state["ema_shadow"], n)
     state["velocity_arr"] = _decode(state["velocity"], n)
     return state
+
+
+def check_fit(model: Model, pool: TargetPool | None, dataset: Dataset, split: DatasetSplit):
+    """Raise ConfigurationError unless the model (and pool) were built for this data."""
+    if model.k != dataset.k:
+        raise ConfigurationError(
+            f"model has {model.k} clusters but dataset has {dataset.k} classes"
+        )
+    in_dim = int(np.prod(dataset.item_shape))
+    if model.in_dim != in_dim:
+        raise ConfigurationError(
+            f"model expects {model.in_dim}-dim inputs but dataset items have {in_dim}"
+        )
+    n_unlabeled = split.unlabeled_idx.size
+    if pool is not None and pool.n != n_unlabeled:
+        raise ConfigurationError(
+            f"target pool covers {pool.n} unlabeled images but the split has {n_unlabeled}"
+        )
 
 
 # -- the trainer -----------------------------------------------------------
@@ -350,25 +375,25 @@ class _Driver:
         cfg = self.cfg
         self.rng = np.random.default_rng(cfg.seed)
         if model is None:
-            model = Model(self.in_dim, cfg.hidden_sizes, self.dataset.k, cfg.leaky_slope, self.rng)
-        elif model.k != self.dataset.k:
-            raise ConfigurationError(
-                f"model has {model.k} clusters but dataset has {self.dataset.k} classes"
+            model = Model(
+                self.in_dim, cfg.hidden_sizes, self.dataset.k, cfg.leaky_slope, rng=self.rng
             )
+        check_fit(model, None, self.dataset, self.split)
         self.model = model
         self.pool = init_target_pool(self.unl_features.shape[0], self.dataset.k, cfg.alpha, self.rng)
         self.opt = Sgd(self.model.n_params)
-        self.ema = EmaState(self.model.get_params(), cfg.ema_decay)
+        self.ema = EmaState(self.model.params, cfg.ema_decay)
 
     def resume_state(self, path: str) -> None:
         state = load_checkpoint(path)
         if state["config"] != self.cfg.to_dict():
             raise ConfigurationError("checkpoint was produced by a different config; refusing to resume")
         self.model = state["model"]
+        self.pool = TargetPool.from_state(state["pool"]) if state["pool"] is not None else None
+        check_fit(self.model, self.pool, self.dataset, self.split)
         self.ema = EmaState(state["ema_shadow_arr"], state["ema_decay"])
         self.opt = Sgd(self.model.n_params)
         self.opt.velocity = state["velocity_arr"]
-        self.pool = TargetPool.from_state(state["pool"]) if state["pool"] is not None else None
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = state["rng_state"]
         self.rows = list(state["rows"])
@@ -407,9 +432,7 @@ class _Driver:
     # -- phases ------------------------------------------------------------
 
     def eval_model(self) -> Model:
-        shadow = self.model.copy()
-        shadow.set_params(self.ema.shadow)
-        return shadow
+        return Model.from_arch(self.model.arch(), self.ema.shadow)
 
     def run_warmup(self) -> None:
         for epoch in range(self.cfg.warmup_rot_epochs):

@@ -61,6 +61,18 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", 1.5), ("tau", 0.0), ("rho", 2.0), ("rho", -0.1), ("lambda_u", -1.0), ("mu", 0),
+    ("logit_temperature", 0.0), ("alpha", 0.0), ("alpha", 1.5), ("hidden_sizes", [0]),
+])
+def test_out_of_range_train_value_is_exit_2_on_dry_run(tmp_path, capsys, field, value):
+    cfg = json.loads(json.dumps(GMM_TRAIN))
+    cfg["train"][field] = value
+    path = write_cfg(tmp_path, cfg)
+    assert main(["train", "--config", path, "--dry-run"]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_negative_threads_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, GMM_TRAIN)
     assert main(["train", "--config", path, "--dry-run", "--threads", "-1"]) == 2
@@ -168,3 +180,4 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "train" in proc.stdout and "verify" in proc.stdout
+    assert "bench" not in proc.stdout

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from clusterssl import network
 from clusterssl.errors import DivergenceError
 from clusterssl.network import (
     AffineLayer,
     Model,
+    layer_views,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     leaky_relu,
@@ -86,13 +88,42 @@ def test_cross_entropy_rejects_bad_input():
 
 
 def test_affine_layer_shapes_and_grad(rng):
-    layer = AffineLayer(6, 3, rng)
+    layer = AffineLayer(rng.normal(size=(3, 6)), np.zeros(3))
     x = rng.normal(size=(5, 6))
     out = layer.forward(x)
     assert out.shape == (5, 3)
-    d_x, d_w, d_b = layer.backward(x, np.ones((5, 3)))
-    assert d_x.shape == x.shape and d_w.shape == layer.weight.shape
-    assert d_b.shape == (3,) and np.allclose(d_b, 5.0)
+    d_w, d_b = np.empty((3, 6)), np.empty(3)
+    d_x = layer.backward(x, np.ones((5, 3)), d_w, d_b)
+    assert d_x.shape == x.shape
+    assert np.allclose(d_w, np.ones((3, 5)) @ x)
+    assert np.allclose(d_b, 5.0)
+
+
+def test_layers_are_views_in_layout_order(rng):
+    model = Model(6, (5, 4), 3, rng=rng)
+    theta = model.get_params()
+    shapes = [(5, 6), (4, 5), (3, 4), (4, 4)]
+    views = layer_views(theta, shapes)
+    layers = [*model.trunk, model.cluster_head, model.rot_head]
+    assert sum(w.size + b.size for w, b in views) == model.n_params
+    for layer, (w, b) in zip(layers, views):
+        assert np.array_equal(layer.weight, w) and np.array_equal(layer.bias, b)
+        assert np.shares_memory(layer.weight, model.params)
+    model.set_params(theta + 1.0)
+    assert np.array_equal(model.rot_head.bias, views[-1][1] + 1.0)
+    model.forward(rng.normal(size=(2, 6)))
+    grads = model.backward(d_rot=np.ones((2, 4)))
+    *_, (d_cluster_w, d_cluster_b), (_, d_rot_b) = layer_views(grads, shapes)
+    assert not d_cluster_w.any() and not d_cluster_b.any()
+    assert np.allclose(d_rot_b, 2.0)
+
+
+def test_same_generator_same_initial_params():
+    a = Model(6, (5,), 3, rng=np.random.default_rng(3))
+    b = Model(6, (5,), 3, rng=np.random.default_rng(3))
+    assert np.array_equal(a.params, b.params)
+    with pytest.raises(TypeError):
+        Model(6, (5,), 3)
 
 
 def test_model_forward_shapes(rng):
@@ -127,9 +158,32 @@ def test_params_round_trip_and_copy(rng):
 
 def test_arch_round_trip(rng):
     model = Model(6, (10, 5), 4, leaky_slope=0.05, rng=rng)
-    rebuilt = Model.from_arch(model.arch())
-    assert rebuilt.in_dim == 6 and rebuilt.k == 4
+    rebuilt = Model.from_arch(model.arch(), model.params)
+    assert rebuilt.in_dim == 6 and rebuilt.k == 4 and rebuilt.leaky_slope == 0.05
     assert rebuilt.n_params == model.n_params
+    assert np.array_equal(rebuilt.params, model.params)
+    assert not np.shares_memory(rebuilt.params, model.params)
+    with pytest.raises(ValueError):
+        Model.from_arch(model.arch(), model.params[:-1])
+
+
+def test_rebuilding_a_model_draws_nothing(tmp_path, rng, monkeypatch):
+    from clusterssl.clustering import init_target_pool
+    from clusterssl.optim import EmaState, Sgd
+    from clusterssl.trainer import TrainConfig, load_checkpoint, save_checkpoint
+
+    model = Model(6, (5,), 3, rng=rng)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(path, iteration=0, model=model, ema=EmaState(model.get_params(), 0.9),
+                    opt=Sgd(model.n_params), pool=init_target_pool(9, 3, 1.0, rng),
+                    rng=rng, cfg=TrainConfig(), rows=[])
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a rebuilt model drew random numbers")
+
+    monkeypatch.setattr(network.np.random, "default_rng", no_generator)
+    assert np.array_equal(model.copy().params, model.params)
+    assert np.array_equal(load_checkpoint(path)["model"].params, model.params)
 
 
 def test_full_model_gradient_matches_fd(rng):

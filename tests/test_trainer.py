@@ -60,8 +60,8 @@ def identity_head_model(k):
     # no trunk; the cluster head passes features straight through, so the
     # predicted cluster of a one-hot row is its hot index
     m = Model(k, (), k, rng=np.random.default_rng(0))
-    m.cluster_head.weight = np.eye(k)
-    m.cluster_head.bias = np.zeros(k)
+    m.cluster_head.weight[...] = np.eye(k)
+    m.cluster_head.bias[...] = 0.0
     return m
 
 
@@ -250,6 +250,29 @@ def test_resume_refuses_other_config(tmp_path, small_gmm):
     other = TrainConfig(**{**SMALL, "iters": 1, "lr_ssl": 0.07})
     with pytest.raises(ConfigurationError, match="different config"):
         train(other, ds, split, resume_from=os.path.join(out, "checkpoint.json"))
+
+
+def test_resume_refuses_data_the_checkpoint_does_not_fit(tmp_path, small_gmm):
+    from clusterssl.data import make_gaussian_mixture
+
+    ds, split = small_gmm
+    cfg = TrainConfig(**{**SMALL, "iters": 1})
+    out = str(tmp_path / "run")
+    train(cfg, ds, split, out_dir=out)
+    ck = os.path.join(out, "checkpoint.json")
+    for (k, n, d), message in (((4, 300, 16), "unlabeled images"),
+                               ((4, 400, 9), "-dim inputs"),
+                               ((3, 400, 16), "clusters")):
+        other = make_gaussian_mixture(k, n, d, 6.0, seed=7)
+        with pytest.raises(ConfigurationError, match=message):
+            train(cfg, other, partition(other, 4, 0.2, seed=1), resume_from=ck)
+
+
+def test_model_argument_must_fit_the_data(small_gmm, rng):
+    ds, split = small_gmm
+    cfg = TrainConfig(**{**SMALL, "iters": 1})
+    with pytest.raises(ConfigurationError, match="-dim inputs"):
+        train(cfg, ds, split, model=Model(9, (16,), 4, rng=rng))
 
 
 def test_resume_and_model_are_exclusive(small_gmm, rng):
