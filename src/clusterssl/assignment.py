@@ -6,6 +6,17 @@ lexicographically smallest map. brute_force_solve is the independent
 enumeration oracle. murty_kbest ranks the k cheapest assignments by
 systematic inclusion/exclusion partitioning. clustering_accuracy scores
 predictions against labels under the best cluster-to-label bijection.
+
+A clustering batch's cost matrix has one distinct row per class, so
+hungarian_solve first solves a matrix with repeated rows as a
+transportation problem over its distinct rows (_solve_grouped). When that
+problem's optimal partition of the columns is unique, rows of one group
+take the group's columns in ascending order, in row order, which is the
+lexicographic map: within a class, the batch's target slots, in the order
+the plan lists them, go to the class's images in batch order. A partition
+that is not unique by a margin (GROUP_TIE_MARGIN), or a float-level
+negative cycle met on the way, falls back to the general padded solve
+(_solve_rect), which also takes every matrix whose rows are all distinct.
 """
 
 from __future__ import annotations
@@ -18,6 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 BRUTE_FORCE_MAX_COLS = 8
+# A grouped solve is kept only when every other column partition costs more
+# than this times the cost scale. It sits far above _solve_rect's tie
+# tolerance (1e-9 per edge), so near-ties go to the solver that owns them.
+GROUP_TIE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,11 +115,16 @@ def _pad_square(cm: np.ndarray) -> np.ndarray:
     return np.vstack([cm, np.zeros((b - c, b))])
 
 
-def _solve_rect(cm: np.ndarray):
+def _cost_scale(cm: np.ndarray) -> float:
+    finite = cm[np.isfinite(cm)]
+    return max(1.0, float(finite.max())) if finite.size else 1.0
+
+
+def _solve_rect(cm: np.ndarray) -> np.ndarray | None:
     """Solve a c x b (c <= b) matrix that may contain +inf bans.
 
-    Returns (cols array of length c, total cost over finite entries) or
-    None when infeasible. Ties are broken lexicographically on the map.
+    Returns the cols array of length c, or None when infeasible. Ties are
+    broken lexicographically on the map.
     """
     c, b = cm.shape
     sq = _pad_square(cm)
@@ -112,16 +132,11 @@ def _solve_rect(cm: np.ndarray):
     if res is None:
         return None
     col_for_row, u, v = res
-    finite = cm[np.isfinite(cm)]
-    scale = max(1.0, float(finite.max())) if finite.size else 1.0
-    tol_edge = 1e-9 * scale
+    tol_edge = 1e-9 * _cost_scale(cm)
     reduced = sq[:c, :] - u[:c, None] - v[None, :]
     if np.any((reduced <= tol_edge).sum(axis=1) > 1):
-        cols = _lex_refine(sq, c, col_for_row, u, v, tol_edge)
-    else:
-        cols = col_for_row[:c].copy()
-    total = float(cm[np.arange(c), cols].sum())
-    return cols, total
+        return _lex_refine(sq, c, col_for_row, u, v, tol_edge)
+    return col_for_row[:c].copy()
 
 
 def _lex_refine(
@@ -179,14 +194,107 @@ def _lex_refine(
     return row_to_col[:c]
 
 
+def _group_graph(dcost: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exchange graph of a column partition among the sources of ``dcost``.
+
+    ``w[k, k2]`` is the cheapest change in cost from moving one column
+    owned by ``k`` to ``k2``, and ``arg[k, k2]`` is that column. Sources
+    that own no column have no outgoing edges (+inf); there are no loops.
+    """
+    n, b = dcost.shape
+    move = dcost - dcost[owner, np.arange(b)]
+    mine = owner[None, :] == np.arange(n)[:, None]
+    per_col = np.where(mine[:, None, :], move[None, :, :], np.inf)
+    arg = per_col.argmin(axis=2)
+    w = np.take_along_axis(per_col, arg[:, :, None], axis=2)[:, :, 0]
+    np.fill_diagonal(w, np.inf)
+    return w, arg
+
+
+def _solve_grouped(cm: np.ndarray) -> np.ndarray | None:
+    """Transportation solve for a matrix with repeated rows.
+
+    Each distinct row is a source whose supply is its row count, plus one
+    unassigned source for the b - c unused columns; every column takes one
+    unit. Starting from each column's cheapest source, successive shortest
+    paths on the source graph move columns until every supply is met. The
+    partition is accepted only if every exchange cycle costs more than
+    ``GROUP_TIE_MARGIN`` times the cost scale; then it is the unique optimum
+    and rows of one group take its columns in ascending order, which is the
+    lexicographically smallest optimal map. Returns None when the rows are
+    all distinct or the optimum may not be unique.
+    """
+    c, b = cm.shape
+    group_of: dict[bytes, int] = {}
+    row_group = np.array([group_of.setdefault(row.tobytes(), len(group_of)) for row in cm])
+    if len(group_of) == c:
+        return None
+    rows = cm[np.unique(row_group, return_index=True)[1]]
+    supply = np.bincount(row_group)
+    if b > c:
+        # any constant works for the unused columns; the c-th smallest best
+        # cost lets the greedy start leave about b - c of them unassigned
+        best = rows.min(axis=0)
+        unused = np.partition(best, c - 1)[c - 1]
+        rows = np.vstack([rows, np.full(b, unused)])
+        supply = np.append(supply, b - c)
+    n = rows.shape[0]
+    # every column at its cheapest source is optimal for the counts it gives
+    owner = rows.argmin(axis=0)
+    excess = np.bincount(owner, minlength=n) - supply
+    nodes = np.arange(n)
+    while np.any(excess > 0):
+        # Bellman-Ford from every over-supplied source at once; a shortest
+        # path needs at most n - 1 rounds, so an n-th improving round means
+        # a negative cycle, which exact arithmetic would not have
+        w, arg = _group_graph(rows, owner)
+        dist = np.where(excess > 0, 0.0, np.inf)
+        pred = np.full(n, -1)
+        for _ in range(n):
+            through = dist[:, None] + w
+            via = through.argmin(axis=0)
+            new_dist = through[via, nodes]
+            shorter = new_dist < dist
+            if not shorter.any():
+                break
+            dist[shorter] = new_dist[shorter]
+            pred[shorter] = via[shorter]
+        else:
+            return None
+        sink = int(np.argmin(np.where(excess < 0, dist, np.inf)))
+        node = sink
+        for _ in range(n):
+            if pred[node] == -1:
+                break
+            owner[arg[pred[node], node]] = node
+            node = pred[node]
+        else:
+            return None  # rounding left a cycle in the predecessors
+        excess[node] -= 1
+        excess[sink] += 1
+    # Floyd-Warshall: w[k, k] becomes the cheapest exchange cycle through k
+    w, _ = _group_graph(rows, owner)
+    for m in range(n):
+        w = np.minimum(w, w[:, m, None] + w[None, m, :])
+    if np.any(np.diag(w) <= GROUP_TIE_MARGIN * _cost_scale(cm)):
+        return None
+    cols = np.empty(c, dtype=np.int64)
+    cols[np.argsort(row_group, kind="stable")] = np.argsort(owner, kind="stable")[:c]
+    return cols
+
+
 def hungarian_solve(cost) -> Assignment:
     """Minimum-cost injective assignment of rows to columns.
 
     Deterministic: among equal-cost optima, returns the lexicographically
-    smallest map (smallest column for the earliest row).
+    smallest map (smallest column for the earliest row). A matrix with
+    repeated rows is first tried as a transportation problem.
     """
     cm = _check_cost_matrix(cost)
-    cols, total = _solve_rect(cm)
+    cols = _solve_grouped(cm)
+    if cols is None:
+        cols = _solve_rect(cm)
+    total = float(cm[np.arange(cm.shape[0]), cols].sum())
     return Assignment(tuple(int(j) for j in cols), total)
 
 
@@ -234,10 +342,9 @@ def murty_kbest(cost, k: int) -> list[Assignment]:
             if len(cols) < len(rows):
                 return None
             sub = work[np.ix_(rows, cols)]
-            res = _solve_rect(sub)
-            if res is None:
+            sub_cols = _solve_rect(sub)
+            if sub_cols is None:
                 return None
-            sub_cols = res[0]
         else:
             sub_cols = np.empty(0, dtype=np.int64)
         full = {i: j for i, j in fixed}

@@ -116,11 +116,10 @@ class AffineLayer:
 
     def backward(
         self, x: np.ndarray, d_out: np.ndarray, d_weight: np.ndarray, d_bias: np.ndarray
-    ) -> np.ndarray:
-        """Write the weight and bias gradients into ``d_weight``/``d_bias``; return d_x."""
+    ) -> None:
+        """Write the weight and bias gradients; the caller forms d_x = d_out @ weight."""
         np.matmul(d_out.T, x, out=d_weight)
         d_out.sum(axis=0, out=d_bias)
-        return d_out @ self.weight
 
 
 class Model:
@@ -253,16 +252,21 @@ class Model:
             if d_cluster.shape != (batch, self.k):
                 raise ValueError(f"d_cluster shape {d_cluster.shape} != {(batch, self.k)}")
             d_pre_norm = l2_normalize_rows_backward(cluster_pre, cluster_out, norms, d_cluster)
-            d_penult += self.cluster_head.backward(penult, d_pre_norm, *cluster_grads)
+            self.cluster_head.backward(penult, d_pre_norm, *cluster_grads)
+            d_penult += d_pre_norm @ self.cluster_head.weight
 
         if d_rot is not None:
             d_rot = np.asarray(d_rot, dtype=np.float64)
             if d_rot.shape != (batch, self.N_ROTATIONS):
                 raise ValueError(f"d_rot shape {d_rot.shape} != {(batch, self.N_ROTATIONS)}")
-            d_penult += self.rot_head.backward(penult, d_rot, *rot_grads)
+            self.rot_head.backward(penult, d_rot, *rot_grads)
+            d_penult += d_rot @ self.rot_head.weight
 
         d_h = d_penult
         for idx in range(len(self.trunk) - 1, -1, -1):
             d_z = d_h * leaky_relu_grad(pre[idx], self.leaky_slope)
-            d_h = self.trunk[idx].backward(acts[idx], d_z, *trunk_grads[idx])
+            layer = self.trunk[idx]
+            layer.backward(acts[idx], d_z, *trunk_grads[idx])
+            if idx:  # nothing upstream of the first layer needs its input gradient
+                d_h = d_z @ layer.weight
         return grads

@@ -348,6 +348,9 @@ class _Driver:
         self.unl_features = dataset.features[split.unlabeled_idx]
         self.rows: list[dict] = []
         self.start_iter = 1
+        # (cls_acc, clu_acc, perm) of the newest eval this call made; the
+        # summary reuses it because nothing changes the EMA shadow after it
+        self.last_eval: tuple[float, float, np.ndarray] | None = None
 
         shape = dataset.item_shape
         in_dim = int(np.prod(shape))
@@ -467,11 +470,12 @@ class _Driver:
             if on_cluster_epoch is not None:
                 on_cluster_epoch(self.pool, t, epoch)
         if self.split.test_idx.size:
-            cls_acc, clu_acc, _ = evaluate(
+            self.last_eval = evaluate(
                 self.eval_model(),
                 self.dataset.features[self.split.test_idx],
                 self.dataset.labels[self.split.test_idx],
             )
+            cls_acc, clu_acc, _ = self.last_eval
             self.emit(_row(t, "eval", 0, test_cls_acc=cls_acc, test_clu_acc=clu_acc))
 
 
@@ -522,7 +526,7 @@ def train(
         "iterations_run": cfg.iters,
     }
     if split.test_idx.size:
-        cls_acc, clu_acc, perm = evaluate(
+        cls_acc, clu_acc, perm = driver.last_eval or evaluate(
             eval_model, dataset.features[split.test_idx], dataset.labels[split.test_idx]
         )
         summary.update(

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import clusterssl.assignment as assignment
 from clusterssl.assignment import (
     Assignment,
     brute_force_solve,
@@ -72,6 +73,68 @@ def test_brute_force_equivalence_sweep(rng):
         fast = hungarian_solve(cm)
         slow = brute_force_solve(cm)
         assert abs(fast.total_cost - slow.total_cost) < 1e-9, (trial, cm)
+        assert fast.cols == slow.cols, (trial, cm)
+
+
+def class_batch_cost(rng, k, b, c, duplicates=False, decimals=None):
+    """A clustering batch's cost: c one-hot targets of k classes against b unit outputs."""
+    outputs = rng.normal(size=(b, k)) * rng.uniform(0.3, 5.0)
+    if duplicates:
+        outputs[rng.integers(0, b, size=b // 4)] = outputs[rng.integers(0, b, size=b // 4)]
+    outputs /= np.linalg.norm(outputs, axis=1, keepdims=True)
+    if decimals is not None:
+        outputs = np.round(outputs, decimals)
+    targets = np.eye(k)[rng.integers(0, k, size=c)]
+    return ((targets[:, None, :] - outputs[None, :, :]) ** 2).sum(axis=2)
+
+
+def test_grouped_solve_matches_the_general_solver(rng):
+    grouped = 0
+    for trial in range(300):
+        k = int(rng.integers(2, 11))
+        b = int(rng.integers(k, 65))
+        c = int(rng.integers(max(1, b // 3), b + 1))
+        style = trial % 3
+        cm = class_batch_cost(rng, k, b, c, duplicates=style == 1,
+                              decimals=2 if style == 2 else None)
+        want = assignment._solve_rect(cm)
+        got = assignment._solve_grouped(cm)
+        if got is not None:
+            grouped += 1
+            assert np.array_equal(got, want), (trial, k, b, c)
+        assert hungarian_solve(cm).cols == tuple(want.tolist()), (trial, k, b, c)
+    # the tie-free third of the batches alone should give 100 grouped solves
+    assert grouped >= 100
+
+
+def test_tie_free_grouped_matrix_skips_the_general_solver(rng, monkeypatch):
+    cms = [class_batch_cost(rng, k, 64, c) for k, c in ((4, 64), (4, 60), (10, 34))]
+    want = [tuple(assignment._solve_rect(cm).tolist()) for cm in cms]
+
+    def banned(cm):
+        raise AssertionError("general solver reached")
+
+    monkeypatch.setattr(assignment, "_solve_rect", banned)
+    assert [hungarian_solve(cm).cols for cm in cms] == want
+
+
+def test_partition_tie_falls_back_to_the_general_solver(monkeypatch):
+    # columns 0 and 1 are the same image: either may join class 1, so the
+    # optimal partition is not unique and the lexicographic rule decides
+    cm = np.array([[0.8, 0.8, 0.0], [0.8, 0.8, 0.0], [0.4, 0.4, 2.0]])
+    assert assignment._solve_grouped(cm) is None
+    calls = []
+    general = assignment._solve_rect
+
+    def spy(m):
+        calls.append(m)
+        return general(m)
+
+    monkeypatch.setattr(assignment, "_solve_rect", spy)
+    sol = hungarian_solve(cm)
+    assert len(calls) == 1
+    assert sol.cols == (0, 2, 1) == brute_force_solve(cm).cols
+    assert sol.total_cost == pytest.approx(1.2)
 
 
 def test_verify_hungarian_compares_the_map(monkeypatch):

@@ -242,6 +242,38 @@ def test_outputs_and_resume_are_byte_exact(tmp_path, small_gmm):
     np.testing.assert_array_equal(resumed.model.get_params(), rec.model.get_params())
 
 
+def test_summary_reuses_the_last_eval(tmp_path, small_gmm, monkeypatch):
+    import clusterssl.trainer as trainer_mod
+
+    ds, split = small_gmm
+    cfg = TrainConfig(**SMALL)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(trainer_mod, "evaluate", counted)
+    first = str(tmp_path / "first")
+    rec = train(cfg, ds, split, out_dir=first)
+    assert len(calls) == cfg.iters  # one per iteration, none for the summary
+    test = split.test_idx
+    cls_acc, clu_acc, perm = evaluate(
+        Model.from_arch(rec.model.arch(), rec.ema.shadow), ds.features[test], ds.labels[test]
+    )
+    assert (rec.summary["test_cls_acc"], rec.summary["test_clu_acc"]) == (cls_acc, clu_acc)
+    assert rec.summary["best_perm"] == perm.tolist()
+
+    # resuming from the final checkpoint runs no iteration, so it evaluates afresh
+    calls.clear()
+    again = str(tmp_path / "again")
+    train(cfg, ds, split, out_dir=again, resume_from=os.path.join(first, "checkpoint.json"))
+    assert len(calls) == 1
+    with open(os.path.join(first, "summary.json"), "rb") as a, \
+            open(os.path.join(again, "summary.json"), "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_resume_refuses_other_config(tmp_path, small_gmm):
     ds, split = small_gmm
     cfg = TrainConfig(**{**SMALL, "iters": 1})
