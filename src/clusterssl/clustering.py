@@ -5,41 +5,30 @@ cluster, and a mutable injective map from images to target slots. Each
 batch re-derives the optimal image<->target pairing with the assignment
 solver, unassigned images near a one-hot corner get transient pseudo-
 targets, and the squared-distance loss pulls augmented replicas toward
-their targets. A rotation-prediction pass over the same data follows each
-assignment pass when the data is image shaped.
+their targets. The trainer follows each assignment pass with a
+rotation-prediction pass over the same data when the data is image shaped.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assignment import Assignment, hungarian_solve
-from .augment import AugmentSpec, apply_batch, rotate90_batch
+from .augment import AugmentSpec, apply_batch, rotate90_batch, spec_for
 from .errors import ConfigurationError
 from .network import Model, softmax_cross_entropy
-from .optim import EmaState, Sgd, SgdConfig
+from .optim import EmaState, Sgd
+
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 logger = logging.getLogger(__name__)
 
 UNASSIGNED = -1
-
-
-@dataclass(frozen=True)
-class ConfidenceRule:
-    """Distance gate for pseudo-targets: ||f - e_argmax||^2 < rho.
-
-    For unit-norm f and one-hot e the squared distance is 2 - 2*max_k f_k,
-    so rho must lie in (0, 2) to be satisfiable at all.
-    """
-
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rho < 2.0:
-            raise ValueError(f"rho must be in (0, 2), got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -178,17 +167,18 @@ def assign_batch(pool: TargetPool, plan: ClusterBatchPlan, outputs: np.ndarray) 
 
 
 def confident_pseudo(
-    outputs: np.ndarray, assigned_mask: np.ndarray, rule: ConfidenceRule
+    outputs: np.ndarray, assigned_mask: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch positions and argmax classes of confident unassigned images.
 
-    Confidence means ||f - e_argmax||^2 = 2 - 2*max_k f_k < rho. The
-    pseudo-targets are transient; nothing is written into any pool.
+    Confidence means ||f - e_argmax||^2 = 2 - 2*max_k f_k < rho; for
+    unit-norm f, only rho in (0, 2) is satisfiable. The pseudo-targets are
+    transient; nothing is written into any pool.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     assigned_mask = np.asarray(assigned_mask, dtype=bool)
     distances = 2.0 - 2.0 * outputs.max(axis=1)
-    sel = ~assigned_mask & (distances < rule.rho)
+    sel = ~assigned_mask & (distances < rho)
     idx = np.flatnonzero(sel)
     return idx, outputs[idx].argmax(axis=1)
 
@@ -256,20 +246,8 @@ def rotation_accuracy(model: Model, images: np.ndarray) -> float:
 
 
 @dataclass
-class ClusterPhaseSettings:
-    """Knobs for one clustering epoch."""
-
-    rule: ConfidenceRule = field(default_factory=lambda: ConfidenceRule(0.2))
-    r: int = 2
-    batch_size: int = 64
-    sgd: SgdConfig = field(default_factory=lambda: SgdConfig(0.01, 1e-4, 0.9))
-    rot_enabled: bool = True
-
-
-@dataclass
 class ClusterEpochStats:
     loss_cluster: float
-    loss_rot: float
     confident_count: int
     reassigned_count: int
 
@@ -282,20 +260,23 @@ def _batched(order: np.ndarray, batch_size: int):
 def rotation_epoch(
     model: Model,
     features: np.ndarray,
-    settings: ClusterPhaseSettings,
+    cfg: TrainConfig,
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
     freeze: bool = False,
 ) -> float:
-    """One shuffled pass of rotation-prediction updates; returns mean loss."""
+    """One shuffled pass of rotation-prediction updates; returns mean loss.
+
+    Steps use the clustering phase's learning rate and weight decay.
+    """
     order = rng.permutation(features.shape[0])
     losses = []
-    for batch in _batched(order, settings.batch_size):
+    for batch in _batched(order, cfg.batch_size):
         loss, grads = rotnet_pass(model, features[batch])
         losses.append(loss)
         if not freeze:
-            opt.step(model, grads, settings.sgd)
+            opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
             ema.update(model.params)
     return float(np.mean(losses)) if losses else float("nan")
 
@@ -304,28 +285,28 @@ def clustering_epoch(
     pool: TargetPool,
     model: Model,
     features: np.ndarray,
-    settings: ClusterPhaseSettings,
-    g_spec: AugmentSpec,
+    cfg: TrainConfig,
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
     freeze: bool = False,
 ) -> ClusterEpochStats:
-    """One assignment+gradient pass followed by one rotation pass.
+    """One shuffled assignment+gradient pass over the unlabeled features.
 
     ``freeze`` runs the assignment bookkeeping without touching parameters
     (used to probe fixed points and invariants under a frozen model).
     """
+    g_spec = spec_for("cluster", features.shape[1:])
     order = rng.permutation(features.shape[0])
     cluster_losses = []
     confident_total = 0
     reassigned_total = 0
-    for batch in _batched(order, settings.batch_size):
+    for batch in _batched(order, cfg.batch_size):
         feats = features[batch]
         f, _ = model.forward(flatten(feats))
         reassigned_total += assign_batch(pool, pool.batch_plan(batch), f)
         assigned = pool.assigned_mask(batch)
-        pseudo_idx, pseudo_cls = confident_pseudo(f, assigned, settings.rule)
+        pseudo_idx, pseudo_cls = confident_pseudo(f, assigned, cfg.rho)
         confident_total += int(pseudo_idx.size)
 
         member = assigned.copy()
@@ -338,15 +319,12 @@ def clustering_epoch(
         if sel.size == 0:
             continue
         loss, grads = clustering_loss(
-            model, feats[sel], one_hot(classes[sel], pool.k), g_spec, settings.r, rng
+            model, feats[sel], one_hot(classes[sel], pool.k), g_spec, cfg.r, rng
         )
         cluster_losses.append(loss)
         if not freeze:
-            opt.step(model, grads, settings.sgd)
+            opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
             ema.update(model.params)
 
-    loss_rot = float("nan")
-    if settings.rot_enabled:
-        loss_rot = rotation_epoch(model, features, settings, opt, ema, rng, freeze=freeze)
     loss_cluster = float(np.mean(cluster_losses)) if cluster_losses else float("nan")
-    return ClusterEpochStats(loss_cluster, loss_rot, confident_total, reassigned_total)
+    return ClusterEpochStats(loss_cluster, confident_total, reassigned_total)

@@ -3,7 +3,7 @@ pseudo-label consistency on unlabeled batches.
 
 The shared cluster head emits unit-norm vectors, not distributions; the
 bridge to class probabilities is a temperature softmax over K*<f, e_k>
-scores (temperature 0.1 by default). Pseudo-labels come from the weakly
+scores (TrainConfig.logit_temperature). Pseudo-labels come from the weakly
 augmented view with gradients blocked; only images whose confidence
 reaches tau contribute to the consistency term, which is averaged over
 the confident count rather than the full batch.
@@ -11,39 +11,18 @@ the confident count rather than the full batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augment import AugmentSpec, apply_batch
+from .augment import AugmentSpec, apply_batch, spec_for
 from .clustering import flatten
 from .network import Model, softmax_cross_entropy, softmax_rows
-from .optim import EmaState, Sgd, SgdConfig
+from .optim import EmaState, Sgd
 
-
-@dataclass(frozen=True)
-class SslHyper:
-    """FixMatch-style knobs; defaults follow the published configuration."""
-
-    tau: float = 0.95
-    lambda_u: float = 1.0
-    mu: int = 7
-    batch_size: int = 64
-    logit_temperature: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.lambda_u < 0.0:
-            raise ValueError(f"lambda_u must be >= 0, got {self.lambda_u}")
-        if self.mu < 1 or self.batch_size < 1:
-            raise ValueError(f"mu and batch_size must be >= 1, got {self.mu}, {self.batch_size}")
-        if self.logit_temperature <= 0.0:
-            raise ValueError(f"logit_temperature must be positive, got {self.logit_temperature}")
-
-    @property
-    def unlabeled_batch_size(self) -> int:
-        return self.mu * self.batch_size
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 
 def class_distribution(cluster_out: np.ndarray, temperature: float) -> np.ndarray:
@@ -64,18 +43,18 @@ def _bridge_loss(
 
 
 def pseudo_labels_batch(
-    model: Model, u: np.ndarray, g_spec: AugmentSpec, hyper: SslHyper,
+    model: Model, u: np.ndarray, g_spec: AugmentSpec, temperature: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(class_ids, confidences) over a batch; no gradients are retained."""
     aug = apply_batch(g_spec, u, rng)
     f, _ = model.forward(flatten(aug))
-    probs = class_distribution(f, hyper.logit_temperature)
+    probs = class_distribution(f, temperature)
     return probs.argmax(axis=1), probs.max(axis=1)
 
 
 def labeled_loss_grads(
-    model: Model, x: np.ndarray, y: np.ndarray, g_spec: AugmentSpec, hyper: SslHyper,
+    model: Model, x: np.ndarray, y: np.ndarray, g_spec: AugmentSpec, temperature: float,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the weakly augmented labeled batch."""
@@ -83,12 +62,12 @@ def labeled_loss_grads(
     if y.size and (y.min() < 0 or y.max() >= model.k):
         raise ValueError(f"labels out of range [0, {model.k})")
     aug = apply_batch(g_spec, np.asarray(x, dtype=np.float64), rng)
-    return _bridge_loss(model, flatten(aug), y, hyper.logit_temperature)
+    return _bridge_loss(model, flatten(aug), y, temperature)
 
 
 def unlabeled_loss_grads(
     model: Model, u: np.ndarray, weak_spec: AugmentSpec, strong_spec: AugmentSpec,
-    hyper: SslHyper, rng: np.random.Generator,
+    tau: float, temperature: float, rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, int]:
     """Consistency loss over confident images; (L_u, grads, n_confident).
 
@@ -97,15 +76,13 @@ def unlabeled_loss_grads(
     the threshold yields L_u = 0 and a zero gradient.
     """
     u = np.asarray(u, dtype=np.float64)
-    classes, conf = pseudo_labels_batch(model, u, weak_spec, hyper, rng)
+    classes, conf = pseudo_labels_batch(model, u, weak_spec, temperature, rng)
     strong = apply_batch(strong_spec, u, rng)
-    keep = conf >= hyper.tau
+    keep = conf >= tau
     n_conf = int(keep.sum())
     if n_conf == 0:
         return 0.0, np.zeros(model.n_params), 0
-    loss, grads = _bridge_loss(
-        model, flatten(strong[keep]), classes[keep], hyper.logit_temperature
-    )
+    loss, grads = _bridge_loss(model, flatten(strong[keep]), classes[keep], temperature)
     return loss, grads, n_conf
 
 
@@ -125,31 +102,21 @@ def ssl_step(
     unlabeled_x: np.ndarray,
     weak_spec: AugmentSpec,
     strong_spec: AugmentSpec,
-    hyper: SslHyper,
-    sgd: SgdConfig,
+    cfg: TrainConfig,
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
 ) -> SslStepStats:
     """One combined update on L_s + lambda_u * L_u."""
+    temperature = cfg.logit_temperature
     loss_u, grads_u, n_conf = unlabeled_loss_grads(
-        model, unlabeled_x, weak_spec, strong_spec, hyper, rng
+        model, unlabeled_x, weak_spec, strong_spec, cfg.tau, temperature, rng
     )
-    loss_s, grads_s = labeled_loss_grads(model, labeled_x, labeled_y, weak_spec, hyper, rng)
-    total = loss_s + hyper.lambda_u * loss_u
-    opt.step(model, grads_s + hyper.lambda_u * grads_u, sgd)
+    loss_s, grads_s = labeled_loss_grads(model, labeled_x, labeled_y, weak_spec, temperature, rng)
+    total = loss_s + cfg.lambda_u * loss_u
+    opt.step(model, grads_s + cfg.lambda_u * grads_u, cfg.lr_ssl, cfg.wd_ssl)
     ema.update(model.params)
     return SslStepStats(total, loss_s, loss_u, n_conf, int(np.asarray(unlabeled_x).shape[0]))
-
-
-@dataclass
-class SslPhaseSettings:
-    """Everything one SSL epoch needs beyond the model and data."""
-
-    hyper: SslHyper
-    weak_spec: AugmentSpec
-    strong_spec: AugmentSpec
-    sgd: SgdConfig = field(default_factory=lambda: SgdConfig(0.03, 5e-4, 0.9))
 
 
 @dataclass
@@ -165,6 +132,8 @@ class _LabeledCycler:
 
     def __init__(self, idx: np.ndarray, rng: np.random.Generator):
         self.idx = np.asarray(idx, dtype=np.int64)
+        if self.idx.size == 0:
+            raise ValueError("cannot cycle an empty labeled set")
         self.rng = rng
         self.order = self.idx[rng.permutation(self.idx.shape[0])]
         self.pos = 0
@@ -189,7 +158,7 @@ def run_epoch(
     labels: np.ndarray,
     labeled_idx: np.ndarray,
     unlabeled_idx: np.ndarray,
-    settings: SslPhaseSettings,
+    cfg: TrainConfig,
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
@@ -200,19 +169,21 @@ def run_epoch(
     the (typically tiny) labeled set. This is the narrow entry point a
     different semi-supervised engine would have to reimplement.
     """
-    hyper = settings.hyper
+    weak_spec = spec_for("weak", features.shape[1:])
+    strong_spec = spec_for("strong", features.shape[1:])
+    chunk_size = cfg.mu * cfg.batch_size
     order = unlabeled_idx[rng.permutation(unlabeled_idx.shape[0])]
     cycler = _LabeledCycler(labeled_idx, rng)
     losses_s, losses_u = [], []
     conf_total = 0
     unl_total = 0
     steps = 0
-    for start in range(0, order.shape[0], hyper.unlabeled_batch_size):
-        chunk = order[start : start + hyper.unlabeled_batch_size]
-        lab = cycler.take(hyper.batch_size)
+    for start in range(0, order.shape[0], chunk_size):
+        chunk = order[start : start + chunk_size]
+        lab = cycler.take(cfg.batch_size)
         stats = ssl_step(
             model, features[lab], labels[lab], features[chunk],
-            settings.weak_spec, settings.strong_spec, hyper, settings.sgd, opt, ema, rng,
+            weak_spec, strong_spec, cfg, opt, ema, rng,
         )
         losses_s.append(stats.loss_s)
         losses_u.append(stats.loss_u)

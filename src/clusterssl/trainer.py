@@ -23,10 +23,8 @@ import numpy as np
 
 from . import __version__
 from .assignment import clustering_accuracy, count_injections, murty_kbest
-from .augment import rotate90_batch, spec_for
+from .augment import rotate90_batch
 from .clustering import (
-    ClusterPhaseSettings,
-    ConfidenceRule,
     TargetPool,
     clustering_epoch,
     flatten,
@@ -36,9 +34,9 @@ from .clustering import (
 )
 from .data import Dataset, DatasetSplit
 from .errors import ConfigurationError, DivergenceError
-from .fixmatch import SslHyper, SslPhaseSettings, class_distribution, run_epoch
+from .fixmatch import class_distribution, run_epoch
 from .network import Model
-from .optim import EmaState, Sgd, SgdConfig
+from .optim import EmaState, Sgd
 
 logger = logging.getLogger(__name__)
 
@@ -183,7 +181,7 @@ def topk_permutation_accuracy(
     test_features: np.ndarray,
     test_labels: np.ndarray,
     k: int,
-    temperature: float = 0.1,
+    temperature: float,
 ) -> np.ndarray:
     """Best test accuracy within the k lowest-cost label->cluster matchings.
 
@@ -352,27 +350,7 @@ class _Driver:
         # summary reuses it because nothing changes the EMA shadow after it
         self.last_eval: tuple[float, float, np.ndarray] | None = None
 
-        shape = dataset.item_shape
-        in_dim = int(np.prod(shape))
-        hyper = SslHyper(
-            tau=cfg.tau, lambda_u=cfg.lambda_u, mu=cfg.mu,
-            batch_size=cfg.batch_size, logit_temperature=cfg.logit_temperature,
-        )
-        self.ssl_settings = SslPhaseSettings(
-            hyper=hyper,
-            weak_spec=spec_for("weak", shape),
-            strong_spec=spec_for("strong", shape),
-            sgd=SgdConfig(cfg.lr_ssl, cfg.wd_ssl, cfg.momentum),
-        )
-        self.cluster_settings = ClusterPhaseSettings(
-            rule=ConfidenceRule(cfg.rho),
-            r=cfg.r,
-            batch_size=cfg.batch_size,
-            sgd=SgdConfig(cfg.lr_cluster, cfg.wd_cluster, cfg.momentum),
-            rot_enabled=self.rot_ok,
-        )
-        self.g_spec = spec_for("cluster", shape)
-        self.in_dim = in_dim
+        self.in_dim = int(np.prod(dataset.item_shape))
 
     def fresh_state(self, model: Model | None = None) -> None:
         cfg = self.cfg
@@ -384,7 +362,7 @@ class _Driver:
         check_fit(model, None, self.dataset, self.split)
         self.model = model
         self.pool = init_target_pool(self.unl_features.shape[0], self.dataset.k, cfg.alpha, self.rng)
-        self.opt = Sgd(self.model.n_params)
+        self.opt = Sgd(self.model.n_params, cfg.momentum)
         self.ema = EmaState(self.model.params, cfg.ema_decay)
 
     def resume_state(self, path: str) -> None:
@@ -395,7 +373,7 @@ class _Driver:
         self.pool = TargetPool.from_state(state["pool"]) if state["pool"] is not None else None
         check_fit(self.model, self.pool, self.dataset, self.split)
         self.ema = EmaState(state["ema_shadow_arr"], state["ema_decay"])
-        self.opt = Sgd(self.model.n_params)
+        self.opt = Sgd(self.model.n_params, self.cfg.momentum)
         self.opt.velocity = state["velocity_arr"]
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = state["rng_state"]
@@ -442,8 +420,7 @@ class _Driver:
             if not self.rot_ok:
                 break
             loss = rotation_epoch(
-                self.model, self.unl_features, self.cluster_settings,
-                self.opt, self.ema, self.rng,
+                self.model, self.unl_features, self.cfg, self.opt, self.ema, self.rng
             )
             self.emit(_row(0, "warmup", epoch, L_r=loss))
 
@@ -453,19 +430,22 @@ class _Driver:
             stats = run_epoch(
                 self.model, self.dataset.features, self.dataset.labels,
                 self.split.labeled_idx, self.split.unlabeled_idx,
-                self.ssl_settings, self.opt, self.ema, self.rng,
+                cfg, self.opt, self.ema, self.rng,
             )
             self.emit(_row(t, "ssl", epoch, L_s=stats.loss_s, L_u=stats.loss_u,
                            mask_rate=stats.mask_rate))
         for epoch in range(cfg.e2):
             stats = clustering_epoch(
-                self.pool, self.model, self.unl_features, self.cluster_settings,
-                self.g_spec, self.opt, self.ema, self.rng,
+                self.pool, self.model, self.unl_features, cfg, self.opt, self.ema, self.rng
             )
+            loss_r = None
+            if self.rot_ok:
+                loss_r = rotation_epoch(
+                    self.model, self.unl_features, cfg, self.opt, self.ema, self.rng
+                )
             # nan means no batch contributed (all skipped), not divergence
             loss_c = None if math.isnan(stats.loss_cluster) else stats.loss_cluster
-            self.emit(_row(t, "cluster", epoch, L_c=loss_c,
-                           L_r=stats.loss_rot if self.rot_ok else None,
+            self.emit(_row(t, "cluster", epoch, L_c=loss_c, L_r=loss_r,
                            confident_count=stats.confident_count))
             if on_cluster_epoch is not None:
                 on_cluster_epoch(self.pool, t, epoch)
@@ -497,6 +477,8 @@ def train(
     instead of a fresh one. ``on_cluster_epoch(pool, iter, epoch)`` is an
     instrumentation hook invoked after every clustering epoch.
     """
+    if cfg.iters > 0 and cfg.e1 > 0 and split.labeled_idx.size == 0:
+        raise ConfigurationError("semi-supervised epochs (e1 > 0) need at least one labeled image")
     driver = _Driver(cfg, dataset, split, out_dir)
     if resume_from is not None:
         if model is not None:

@@ -17,8 +17,9 @@ import numpy as np
 from .assignment import brute_force_solve, hungarian_solve, murty_kbest
 from .clustering import clustering_loss, one_hot, rotnet_pass
 from .augment import AugmentSpec
-from .fixmatch import labeled_loss_grads, SslHyper
+from .fixmatch import labeled_loss_grads
 from .network import Model
+from .trainer import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def verify_gradients(n_triples: int = 20, seed: int = 0, h: float = 1e-5) -> Che
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
-    hyper = SslHyper()
+    temperature = TrainConfig().logit_temperature
     for i in range(n_triples):
         side = int(rng.integers(3, 6))
         in_dim = side * side
@@ -153,7 +154,7 @@ def verify_gradients(n_triples: int = 20, seed: int = 0, h: float = 1e-5) -> Che
                     mod, x, y,
                     AugmentSpec(kind="weak", data_shape=(in_dim,), flip_prob=0.0,
                                 max_translate_frac=0.0, noise_sigma=0.0),
-                    hyper, rng=np.random.default_rng(0),
+                    temperature, rng=np.random.default_rng(0),
                 )
         elif kind == 1:
             x = rng.normal(size=(m, in_dim))

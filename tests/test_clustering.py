@@ -5,8 +5,6 @@ from clusterssl.assignment import Assignment
 from clusterssl.augment import spec_for
 from clusterssl.clustering import (
     ClusterBatchPlan,
-    ClusterPhaseSettings,
-    ConfidenceRule,
     TargetPool,
     UNASSIGNED,
     assign_batch,
@@ -20,7 +18,8 @@ from clusterssl.clustering import (
 )
 from clusterssl.errors import ConfigurationError
 from clusterssl.network import Model
-from clusterssl.optim import EmaState, Sgd, SgdConfig
+from clusterssl.optim import EmaState, Sgd
+from clusterssl.trainer import TrainConfig
 
 
 IDENTITY_VEC = spec_for("cluster", (16,), jitter_strength=0.0, flip_prob=0.0,
@@ -31,34 +30,24 @@ def make_pool(n=40, k=4, alpha=1.0, seed=0):
     return init_target_pool(n, k, alpha, np.random.default_rng(seed))
 
 
-def test_confidence_rule_bounds():
-    ConfidenceRule(0.2)
-    with pytest.raises(ValueError):
-        ConfidenceRule(0.0)
-    with pytest.raises(ValueError):
-        ConfidenceRule(2.0)
-
-
 def test_confidence_rule_formula():
     # confident iff 2 - 2 * max_coordinate < rho; values chosen so every
     # distance is an exact binary fraction and the boundary case is unambiguous
-    rule = ConfidenceRule(0.25)
     outputs = np.array([
         [0.9375, 0.0625, 0.0, 0.0],  # distance 0.125 -> confident
         [0.75, 0.25, 0.0, 0.0],      # distance 0.5 -> not
         [0.875, 0.125, 0.0, 0.0],    # distance exactly 0.25 -> not (strict)
     ])
     unassigned = np.zeros(3, dtype=bool)
-    idx, classes = confident_pseudo(outputs, unassigned, rule)
+    idx, classes = confident_pseudo(outputs, unassigned, 0.25)
     assert idx.tolist() == [0]
     assert classes.tolist() == [0]
 
 
 def test_confident_pseudo_skips_assigned():
-    rule = ConfidenceRule(1.9)
     outputs = np.array([[1.0, 0.0], [1.0, 0.0]])
     assigned = np.array([True, False])
-    idx, classes = confident_pseudo(outputs, assigned, rule)
+    idx, classes = confident_pseudo(outputs, assigned, 1.9)
     assert idx.tolist() == [1] and classes.tolist() == [0]
 
 
@@ -182,15 +171,14 @@ def test_clustering_epoch_runs_and_counts(rng):
     pool = make_pool(n=n, k=4)
     model = Model(16, (16,), 4, rng=rng)
     feats = rng.normal(size=(n, 16))
-    settings = ClusterPhaseSettings(rot_enabled=False, batch_size=16)
-    opt = Sgd(model.n_params)
+    cfg = TrainConfig(batch_size=16)
+    opt = Sgd(model.n_params, cfg.momentum)
     ema = EmaState(model.get_params(), 0.99)
-    stats = clustering_epoch(pool, model, feats, settings, IDENTITY_VEC, opt, ema, rng)
+    stats = clustering_epoch(pool, model, feats, cfg, opt, ema, rng)
     pool.check_invariants()
     assert np.isfinite(stats.loss_cluster)
     assert stats.confident_count >= 0
     assert 0 <= stats.reassigned_count <= n
-    assert np.isnan(stats.loss_rot)  # rotation disabled
 
 
 def test_frozen_model_reaches_fixed_point(rng):
@@ -198,13 +186,12 @@ def test_frozen_model_reaches_fixed_point(rng):
     pool = make_pool(n=n, k=4, seed=3)
     model = Model(16, (16,), 4, rng=rng)
     feats = rng.normal(size=(n, 16))
-    settings = ClusterPhaseSettings(rot_enabled=False, batch_size=n)
-    opt = Sgd(model.n_params)
+    cfg = TrainConfig(batch_size=n)
+    opt = Sgd(model.n_params, cfg.momentum)
     ema = EmaState(model.get_params(), 0.99)
     counts = []
     for _ in range(4):
-        stats = clustering_epoch(pool, model, feats, settings, IDENTITY_VEC, opt, ema, rng,
-                                 freeze=True)
+        stats = clustering_epoch(pool, model, feats, cfg, opt, ema, rng, freeze=True)
         counts.append(stats.reassigned_count)
     assert counts[-1] == 0  # assignments stabilize once the model stops moving
     assert np.array_equal(model.get_params(), ema.shadow * 0 + model.get_params())
@@ -213,11 +200,10 @@ def test_frozen_model_reaches_fixed_point(rng):
 def test_rotation_epoch_freeze_keeps_params(rng):
     model = Model(64, (8,), 4, rng=rng)
     before = model.get_params().copy()
-    opt = Sgd(model.n_params)
+    opt = Sgd(model.n_params, 0.9)
     ema = EmaState(before, 0.99)
     feats = rng.normal(size=(12, 8, 8))
-    loss = rotation_epoch(model, feats, ClusterPhaseSettings(batch_size=6), opt, ema, rng,
-                          freeze=True)
+    loss = rotation_epoch(model, feats, TrainConfig(batch_size=6), opt, ema, rng, freeze=True)
     assert np.isfinite(loss)
     assert np.array_equal(model.get_params(), before)
 

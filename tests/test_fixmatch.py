@@ -3,8 +3,6 @@ import pytest
 
 from clusterssl.augment import spec_for
 from clusterssl.fixmatch import (
-    SslHyper,
-    SslPhaseSettings,
     _LabeledCycler,
     class_distribution,
     labeled_loss_grads,
@@ -13,28 +11,12 @@ from clusterssl.fixmatch import (
     unlabeled_loss_grads,
 )
 from clusterssl.network import Model, softmax_cross_entropy
-from clusterssl.optim import EmaState, Sgd, SgdConfig
+from clusterssl.optim import EmaState, Sgd
+from clusterssl.trainer import TrainConfig
 
 
 IDENTITY = spec_for("weak", (16,), jitter_strength=0.0, flip_prob=0.0,
                     max_translate_frac=0.0, noise_sigma=0.0)
-
-
-def test_hyper_validation():
-    SslHyper()
-    with pytest.raises(ValueError):
-        SslHyper(tau=1.0)
-    with pytest.raises(ValueError):
-        SslHyper(tau=0.0)
-    with pytest.raises(ValueError):
-        SslHyper(lambda_u=-0.1)
-    with pytest.raises(ValueError):
-        SslHyper(mu=0)
-    with pytest.raises(ValueError):
-        SslHyper(batch_size=0)
-    with pytest.raises(ValueError):
-        SslHyper(logit_temperature=0.0)
-    assert SslHyper(mu=7, batch_size=64).unlabeled_batch_size == 448
 
 
 def test_class_distribution_uniform_row():
@@ -59,11 +41,9 @@ def test_class_distribution_one_hot_is_certain():
 def test_pseudo_labels_match_distribution(rng):
     model = Model(16, (8,), 4, rng=rng)
     u = rng.normal(size=(12, 16))
-    hyper = SslHyper()
-    classes, conf = pseudo_labels_batch(model, u, IDENTITY, hyper,
-                                        np.random.default_rng(0))
+    classes, conf = pseudo_labels_batch(model, u, IDENTITY, 0.1, np.random.default_rng(0))
     f, _ = model.forward(u)
-    p = class_distribution(f, hyper.logit_temperature)
+    p = class_distribution(f, 0.1)
     assert np.array_equal(classes, p.argmax(axis=1))
     np.testing.assert_allclose(conf, p.max(axis=1), rtol=1e-15)
 
@@ -72,9 +52,9 @@ def test_labeled_loss_rejects_bad_labels(rng):
     model = Model(16, (8,), 4, rng=rng)
     x = rng.normal(size=(3, 16))
     with pytest.raises(ValueError):
-        labeled_loss_grads(model, x, np.array([0, 1, 4]), IDENTITY, SslHyper(), rng)
+        labeled_loss_grads(model, x, np.array([0, 1, 4]), IDENTITY, 0.1, rng)
     with pytest.raises(ValueError):
-        labeled_loss_grads(model, x, np.array([-1, 0, 1]), IDENTITY, SslHyper(), rng)
+        labeled_loss_grads(model, x, np.array([-1, 0, 1]), IDENTITY, 0.1, rng)
 
 
 def test_unlabeled_equals_labeled_on_identity_views(rng):
@@ -82,15 +62,12 @@ def test_unlabeled_equals_labeled_on_identity_views(rng):
     # consistency term is exactly supervised CE against the pseudo-labels
     model = Model(16, (8,), 4, rng=rng)
     u = rng.normal(size=(20, 16))
-    probe = SslHyper(tau=0.5)
-    classes, conf = pseudo_labels_batch(model, u, IDENTITY, probe,
-                                        np.random.default_rng(0))
+    classes, conf = pseudo_labels_batch(model, u, IDENTITY, 0.1, np.random.default_rng(0))
     tau = float(min(conf)) * 0.5
     assert 0.0 < tau < 1.0
-    hyper = SslHyper(tau=tau)
     loss_u, grads_u, n_conf = unlabeled_loss_grads(
-        model, u, IDENTITY, IDENTITY, hyper, np.random.default_rng(0))
-    loss_s, grads_s = labeled_loss_grads(model, u, classes, IDENTITY, hyper,
+        model, u, IDENTITY, IDENTITY, tau, 0.1, np.random.default_rng(0))
+    loss_s, grads_s = labeled_loss_grads(model, u, classes, IDENTITY, 0.1,
                                          np.random.default_rng(0))
     assert n_conf == 20
     assert loss_u == loss_s
@@ -104,11 +81,10 @@ def test_unlabeled_zero_confident(rng):
     model.set_params(np.zeros(model.n_params))
     model.cluster_head.bias[:] = 1.0
     u = rng.normal(size=(10, 16))
-    _, conf = pseudo_labels_batch(model, u, IDENTITY, SslHyper(),
-                                  np.random.default_rng(0))
+    _, conf = pseudo_labels_batch(model, u, IDENTITY, 0.1, np.random.default_rng(0))
     np.testing.assert_allclose(conf, 0.25, atol=1e-15)
     loss, grads, n = unlabeled_loss_grads(
-        model, u, IDENTITY, IDENTITY, SslHyper(tau=0.95), np.random.default_rng(0))
+        model, u, IDENTITY, IDENTITY, 0.95, 0.1, np.random.default_rng(0))
     assert loss == 0.0 and n == 0
     assert not grads.any()
 
@@ -122,6 +98,11 @@ def test_labeled_cycler_balances_passes():
     assert all(c == 16 for c in counts.values())  # 16 full reshuffled passes
 
 
+def test_labeled_cycler_rejects_an_empty_set():
+    with pytest.raises(ValueError):
+        _LabeledCycler(np.empty(0, dtype=np.int64), np.random.default_rng(5))
+
+
 def test_run_epoch_step_count_and_stats(rng):
     model = Model(16, (8,), 4, rng=rng)
     n = 120
@@ -129,17 +110,12 @@ def test_run_epoch_step_count_and_stats(rng):
     labels = rng.integers(0, 4, size=n)
     labeled_idx = np.arange(8)
     unlabeled_idx = np.arange(8, n)
-    hyper = SslHyper(mu=2, batch_size=16)  # chunks of 32 over 112 unlabeled
-    settings = SslPhaseSettings(
-        hyper=hyper, weak_spec=IDENTITY,
-        strong_spec=spec_for("strong", (16,)),
-        sgd=SgdConfig(0.01, 0.0, 0.9),
-    )
-    opt = Sgd(model.n_params)
+    cfg = TrainConfig(mu=2, batch_size=16, lr_ssl=0.01, wd_ssl=0.0)  # chunks of 32 over 112
+    opt = Sgd(model.n_params, cfg.momentum)
     ema = EmaState(model.get_params(), 0.99)
     before = model.get_params().copy()
     stats = run_epoch(model, feats, labels, labeled_idx, unlabeled_idx,
-                      settings, opt, ema, np.random.default_rng(0))
+                      cfg, opt, ema, np.random.default_rng(0))
     assert stats.steps == int(np.ceil(112 / 32))
     assert 0.0 <= stats.mask_rate <= 1.0
     assert np.isfinite(stats.loss_s)

@@ -174,7 +174,7 @@ def test_rebuilding_a_model_draws_nothing(tmp_path, rng, monkeypatch):
     model = Model(6, (5,), 3, rng=rng)
     path = str(tmp_path / "ck.json")
     save_checkpoint(path, iteration=0, model=model, ema=EmaState(model.get_params(), 0.9),
-                    opt=Sgd(model.n_params), pool=init_target_pool(9, 3, 1.0, rng),
+                    opt=Sgd(model.n_params, 0.9), pool=init_target_pool(9, 3, 1.0, rng),
                     rng=rng, cfg=TrainConfig(), rows=[])
 
     def no_generator(*args, **kwargs):

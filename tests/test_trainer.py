@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clusterssl.assignment import count_injections
-from clusterssl.data import make_shape_images, partition
+from clusterssl.data import DatasetSplit, make_shape_images, partition
 from clusterssl.errors import ConfigurationError, DivergenceError
 from clusterssl.network import Model
 from clusterssl.trainer import (
@@ -92,7 +92,7 @@ def test_topk_needs_square_images(rng):
         topk_permutation_accuracy(model, rng.normal(size=(8, 16)),
                                   np.zeros(8, dtype=np.int64),
                                   rng.normal(size=(8, 16)),
-                                  np.zeros(8, dtype=np.int64), k=3)
+                                  np.zeros(8, dtype=np.int64), k=3, temperature=0.1)
 
 
 def test_topk_curve_reaches_bijection_optimum(rng):
@@ -104,7 +104,7 @@ def test_topk_curve_reaches_bijection_optimum(rng):
         model,
         ds.features[split.labeled_idx], ds.labels[split.labeled_idx],
         ds.features[split.test_idx], ds.labels[split.test_idx],
-        k=full,
+        k=full, temperature=0.1,
     )
     assert curve.shape == (full,)
     assert np.all(np.diff(curve) >= 0)
@@ -112,7 +112,7 @@ def test_topk_curve_reaches_bijection_optimum(rng):
     assert curve[-1] == clu
     with pytest.raises(ValueError):
         topk_permutation_accuracy(model, ds.features[:4], ds.labels[:4],
-                                  ds.features[:4], ds.labels[:4], k=0)
+                                  ds.features[:4], ds.labels[:4], k=0, temperature=0.1)
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
@@ -121,7 +121,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
 
     model = Model(6, (5,), 3, rng=rng)
     ema = EmaState(model.get_params() * 0.5, 0.99)
-    opt = Sgd(model.n_params)
+    opt = Sgd(model.n_params, 0.9)
     opt.velocity = rng.normal(size=model.n_params)
     pool = init_target_pool(12, 3, 1.0, rng)
     path = str(tmp_path / "ck.json")
@@ -204,6 +204,17 @@ def test_alternation_accounting(small_gmm):
         seq = [r["phase"] for r in rec.rows if r["iter"] == t]
         assert seq == ["ssl", "ssl", "cluster", "eval"]
     assert set(rec.summary) >= {"config", "n_params", "test_cls_acc", "test_clu_acc"}
+
+
+def test_no_labeled_image_is_refused_before_any_work(tmp_path, small_gmm):
+    ds, split = small_gmm
+    unlabeled_only = DatasetSplit((), split.unlabeled_idx, split.test_idx, split.seed)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigurationError, match="labeled"):
+        train(TrainConfig(**SMALL), ds, unlabeled_only, out_dir=str(out))
+    assert not out.exists()
+    rec = train(TrainConfig(**{**SMALL, "e1": 0}), ds, unlabeled_only)
+    assert [r["phase"] for r in rec.rows] == ["cluster", "eval"] * SMALL["iters"]
 
 
 def test_determinism(small_gmm):
