@@ -15,6 +15,15 @@ Vector pipelines are an extension for non-image data; the image pipelines
 are the reference behavior. Ops with zero magnitude are skipped outright
 so an all-zero AugmentSpec is an exact identity. Every draw comes from
 the generator the caller hands in, so outputs are byte-reproducible.
+
+Image batches run in two passes: draws per image in pipeline order; pixel
+work per batch. The first pass makes each image's draws in turn, one call
+at a time, skipping the zero-magnitude ops; no draw depends on a pixel.
+The second applies each op once to all images that drew it: translate is
+one gather of mirrored indices, flips reverse an axis, jitter and noise
+add the stacked drawn fields, cutout is a mask, and the strong pipeline's
+first op slot runs before its second. Output and generator state are
+those of running the pipeline on one image at a time.
 """
 
 from __future__ import annotations
@@ -70,11 +79,6 @@ def spec_for(kind: str, data_shape, **overrides) -> AugmentSpec:
     return replace(base, **overrides) if overrides else base
 
 
-def flip_image(x: np.ndarray) -> np.ndarray:
-    """Horizontal mirror (width axis). Involution: flip(flip(x)) == x."""
-    return np.ascontiguousarray(x[:, ::-1])
-
-
 def rotate90(x: np.ndarray, quarters: int) -> np.ndarray:
     """Rotate an (h, w[, ch]) image by quarters * 90 degrees counterclockwise."""
     return np.ascontiguousarray(np.rot90(x, k=quarters % 4, axes=(0, 1)))
@@ -84,79 +88,111 @@ def rotate90_batch(xs: np.ndarray, quarters: int) -> np.ndarray:
     return np.ascontiguousarray(np.rot90(xs, k=quarters % 4, axes=(1, 2)))
 
 
-def _translate(x: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    if dy == 0 and dx == 0:
-        return x
-    h, w = x.shape[:2]
-    m = max(abs(dy), abs(dx))
-    pad = [(m, m), (m, m)] + [(0, 0)] * (x.ndim - 2)
-    padded = np.pad(x, pad, mode="reflect")
-    return padded[m + dy : m + dy + h, m + dx : m + dx + w]
+def _reflect(pos: np.ndarray, size: int) -> np.ndarray:
+    """Source index of each position on an axis padded like np.pad(mode="reflect")."""
+    if size == 1:
+        return np.zeros_like(pos)  # numpy pads a 1-pixel axis with its edge
+    period = 2 * (size - 1)
+    pos = pos % period
+    return np.where(pos < size, pos, period - pos)
 
 
-def _draw_translate(x: np.ndarray, frac: float, rng: np.random.Generator) -> np.ndarray:
-    h, w = x.shape[:2]
-    my, mx = round(h * frac), round(w * frac)
-    if my == 0 and mx == 0:
-        return x
+def _translate(xs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Image i moved by shifts[i] = (dy, dx), mirror padded, as one gather."""
+    n, h, w = xs.shape[:3]
+    rows = _reflect(np.arange(h) + shifts[:, :1], h)
+    cols = _reflect(np.arange(w) + shifts[:, 1:], w)
+    return xs[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]
+
+
+def _draw_shift(my: int, mx: int, rng: np.random.Generator) -> tuple[int, int]:
+    # two scalar draws: one sized draw would consume the stream differently
     dy = int(rng.integers(-my, my + 1)) if my else 0
     dx = int(rng.integers(-mx, mx + 1)) if mx else 0
-    return _translate(x, dy, dx)
+    return dy, dx
 
 
-def _jitter(x: np.ndarray, strength: float, rng: np.random.Generator) -> np.ndarray:
-    if strength == 0:
-        return x
-    return x + rng.uniform(-strength, strength, size=x.shape)
+def _crop_mean(x: np.ndarray) -> float:
+    # x.mean() as numpy sums a crop of a padded image: rows not contiguous,
+    # which above its 8192-item reduction buffer changes the summation order
+    buf = np.empty((x.shape[0], x.shape[1] + 1) + x.shape[2:])
+    buf[:, :-1] = x
+    return buf[:, :-1].mean()
 
 
-def _contrast(x: np.ndarray, strength: float, rng: np.random.Generator) -> np.ndarray:
-    if strength == 0:
-        return x
-    factor = 1.0 + float(rng.uniform(-strength, strength))
-    mean = x.mean()
-    return mean + (x - mean) * factor
+def _flip_translate_batch(spec: AugmentSpec, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Weak and cluster pipelines: [jitter ->] flip -> translate."""
+    n = xs.shape[0]
+    my, mx = (round(d * spec.max_translate_frac) for d in spec.data_shape[:2])
+    s = spec.jitter_strength if spec.kind == "cluster" else 0.0
+    fields, flips, shifts = [], np.zeros(n, dtype=bool), np.zeros((n, 2), dtype=np.int64)
+    for i in range(n):
+        if s:
+            fields.append(rng.uniform(-s, s, size=spec.data_shape))
+        flips[i] = spec.flip_prob and rng.random() < spec.flip_prob
+        if my or mx:
+            shifts[i] = _draw_shift(my, mx, rng)
+    out = xs + np.stack(fields) if fields else xs.copy()
+    out[flips] = out[flips, :, ::-1]
+    return _translate(out, shifts) if my or mx else out
+
+
+def _strong_batch(spec: AugmentSpec, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Strong pipeline: two ops drawn per image -> cutout."""
+    n, h, w = xs.shape[:3]
+    my, mx = round(h * spec.max_translate_frac), round(w * spec.max_translate_frac)
+    s, sigma = spec.jitter_strength, spec.noise_sigma
+    # (slot, op) -> the images that drew it, and their draws; slot 0 applies first
+    drawn = {(slot, op): ([], []) for slot in range(_N_STRONG_DRAWS) for op in _STRONG_OPS}
+    centres = np.zeros((n, 2), dtype=np.int64)
+    for i in range(n):
+        for slot, op_idx in enumerate(rng.integers(0, len(_STRONG_OPS), size=_N_STRONG_DRAWS)):
+            op = _STRONG_OPS[op_idx]
+            if op == "translate":
+                draw = _draw_shift(my, mx, rng) if my or mx else None
+            elif op == "jitter":
+                draw = rng.uniform(-s, s, size=spec.data_shape) if s else None
+            elif op == "contrast":
+                draw = 1.0 + float(rng.uniform(-s, s)) if s else None
+            else:
+                draw = rng.normal(0.0, sigma, size=spec.data_shape) if sigma else None
+            if draw is not None:
+                drawn[slot, op][0].append(i)
+                drawn[slot, op][1].append(draw)
+        if spec.cutout_frac:
+            centres[i] = int(rng.integers(0, h)), int(rng.integers(0, w))
+
+    out = xs.copy()
+    cropped = np.zeros(n, dtype=bool)  # one image at a time, these would be padded crops
+    per_image = (-1,) + (1,) * (xs.ndim - 1)
+    for (slot, op), (idx, draws) in drawn.items():
+        if not idx:
+            continue
+        idx = np.array(idx)
+        if op == "translate":
+            shifts = np.array(draws)
+            out[idx] = _translate(out[idx], shifts)
+            cropped[idx] = shifts.any(axis=1)
+        elif op == "contrast":
+            mean = np.array([_crop_mean(out[i]) if cropped[i] else out[i].mean() for i in idx])
+            mean = mean.reshape(per_image)
+            out[idx] = mean + (out[idx] - mean) * np.array(draws).reshape(per_image)
+        else:
+            out[idx] += np.stack(draws)
+    if spec.cutout_frac:
+        side = np.array([max(1, round(d * np.sqrt(spec.cutout_frac))) for d in (h, w)])
+        lo = np.maximum(0, centres - side // 2)
+        hi = np.minimum((h, w), centres - side // 2 + side)
+        in_y = (lo[:, :1] <= np.arange(h)) & (np.arange(h) < hi[:, :1])
+        in_x = (lo[:, 1:] <= np.arange(w)) & (np.arange(w) < hi[:, 1:])
+        out[in_y[:, :, None] & in_x[:, None, :]] = 0.0
+    return out
 
 
 def _gauss_noise(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     if sigma == 0:
         return x
     return x + rng.normal(0.0, sigma, size=x.shape)
-
-
-def _cutout(x: np.ndarray, frac: float, rng: np.random.Generator) -> np.ndarray:
-    if frac == 0:
-        return x
-    h, w = x.shape[:2]
-    side_y = max(1, round(h * np.sqrt(frac)))
-    side_x = max(1, round(w * np.sqrt(frac)))
-    cy = int(rng.integers(0, h))
-    cx = int(rng.integers(0, w))
-    y0, y1 = max(0, cy - side_y // 2), min(h, cy - side_y // 2 + side_y)
-    x0, x1 = max(0, cx - side_x // 2), min(w, cx - side_x // 2 + side_x)
-    out = x.copy()
-    out[y0:y1, x0:x1] = 0.0
-    return out
-
-
-def _apply_image(spec: AugmentSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "strong":
-        for op_idx in rng.integers(0, len(_STRONG_OPS), size=_N_STRONG_DRAWS):
-            op = _STRONG_OPS[op_idx]
-            if op == "translate":
-                x = _draw_translate(x, spec.max_translate_frac, rng)
-            elif op == "jitter":
-                x = _jitter(x, spec.jitter_strength, rng)
-            elif op == "contrast":
-                x = _contrast(x, spec.jitter_strength, rng)
-            else:
-                x = _gauss_noise(x, spec.noise_sigma, rng)
-        return _cutout(x, spec.cutout_frac, rng)
-    if spec.kind == "cluster":
-        x = _jitter(x, spec.jitter_strength, rng)
-    if spec.flip_prob and rng.random() < spec.flip_prob:
-        x = flip_image(x)
-    return _draw_translate(x, spec.max_translate_frac, rng)
 
 
 def _apply_vector(spec: AugmentSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -176,4 +212,5 @@ def apply_batch(spec: AugmentSpec, xs, rng: np.random.Generator) -> np.ndarray:
         # vector pipelines vectorize over the whole batch
         out = _apply_vector(spec, xs, rng)
         return out if out is not xs else xs.copy()
-    return np.stack([_apply_image(spec, x, rng) for x in xs]) if len(xs) else xs.copy()
+    pipeline = _strong_batch if spec.kind == "strong" else _flip_translate_batch
+    return pipeline(spec, xs, rng)

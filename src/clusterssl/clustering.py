@@ -132,8 +132,6 @@ def init_target_pool(n: int, k: int, alpha: float, rng: np.random.Generator) -> 
     """floor(alpha*n/K) one-hot targets per cluster, each bound to a distinct image."""
     if k < 2:
         raise ConfigurationError(f"k must be >= 2, got {k}")
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
     if n < k:
         raise ConfigurationError(f"need n >= k, got n={n}, k={k}")
     per_cluster = int(alpha * n / k)
@@ -264,7 +262,6 @@ def rotation_epoch(
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
-    freeze: bool = False,
 ) -> float:
     """One shuffled pass of rotation-prediction updates; returns mean loss.
 
@@ -275,9 +272,8 @@ def rotation_epoch(
     for batch in _batched(order, cfg.batch_size):
         loss, grads = rotnet_pass(model, features[batch])
         losses.append(loss)
-        if not freeze:
-            opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
-            ema.update(model.params)
+        opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
+        ema.update(model.params)
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -289,13 +285,8 @@ def clustering_epoch(
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
-    freeze: bool = False,
 ) -> ClusterEpochStats:
-    """One shuffled assignment+gradient pass over the unlabeled features.
-
-    ``freeze`` runs the assignment bookkeeping without touching parameters
-    (used to probe fixed points and invariants under a frozen model).
-    """
+    """One shuffled assignment+gradient pass over the unlabeled features."""
     g_spec = spec_for("cluster", features.shape[1:])
     order = rng.permutation(features.shape[0])
     cluster_losses = []
@@ -322,9 +313,8 @@ def clustering_epoch(
             model, feats[sel], one_hot(classes[sel], pool.k), g_spec, cfg.r, rng
         )
         cluster_losses.append(loss)
-        if not freeze:
-            opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
-            ema.update(model.params)
+        opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
+        ema.update(model.params)
 
     loss_cluster = float(np.mean(cluster_losses)) if cluster_losses else float("nan")
     return ClusterEpochStats(loss_cluster, confident_total, reassigned_total)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from clusterssl.augment import (
+    KINDS,
     AugmentSpec,
     apply_batch,
     rotate90,
@@ -77,12 +80,16 @@ def test_cutout_zeroes_a_window(rng):
 
 
 def test_vector_batch_matches_per_item(rng):
-    spec = spec_for("weak", VEC)
+    # The strong vector pipeline draws the whole batch's noise before its
+    # dropout mask, so its batch output does not match row-by-row calls.
     x = rng.normal(size=(5,) + VEC)
-    seeded = np.random.default_rng(11)
-    batch = apply_batch(spec, x, rng=seeded)
-    assert batch.shape == x.shape
-    assert not np.array_equal(batch, x)
+    for kind in ("weak", "cluster"):
+        spec = spec_for(kind, VEC)
+        batch = apply_batch(spec, x, np.random.default_rng(11))
+        one = np.random.default_rng(11)
+        rows = np.concatenate([apply_batch(spec, x[i : i + 1], one) for i in range(len(x))])
+        assert np.array_equal(batch.view(np.uint64), rows.view(np.uint64))
+        assert not np.array_equal(batch, x)
 
 
 def test_rotate90_cycle(rng):
@@ -108,3 +115,105 @@ def test_translate_stays_within_bound(rng):
     for out in apply_batch(spec, xs, np.random.default_rng(0)):
         iy, ix = np.unravel_index(np.argmax(out), IMG)
         assert abs(iy - 4) <= 1 and abs(ix - 4) <= 1
+
+
+# Per-image reference for the batched image pipelines: each op applied to
+# one image at a time, translate through np.pad.
+
+def _ref_translate(x, frac, rng):
+    h, w = x.shape[:2]
+    my, mx = round(h * frac), round(w * frac)
+    if my == 0 and mx == 0:
+        return x
+    dy = int(rng.integers(-my, my + 1)) if my else 0
+    dx = int(rng.integers(-mx, mx + 1)) if mx else 0
+    if dy == 0 and dx == 0:
+        return x
+    m = max(abs(dy), abs(dx))
+    padded = np.pad(x, [(m, m), (m, m)] + [(0, 0)] * (x.ndim - 2), mode="reflect")
+    return padded[m + dy : m + dy + h, m + dx : m + dx + w]
+
+
+def _ref_jitter(x, strength, rng):
+    return x + rng.uniform(-strength, strength, size=x.shape) if strength else x
+
+
+def _ref_contrast(x, strength, rng):
+    if strength == 0:
+        return x
+    factor = 1.0 + float(rng.uniform(-strength, strength))
+    mean = x.mean()
+    return mean + (x - mean) * factor
+
+
+def _ref_cutout(x, frac, rng):
+    if frac == 0:
+        return x
+    h, w = x.shape[:2]
+    side_y = max(1, round(h * np.sqrt(frac)))
+    side_x = max(1, round(w * np.sqrt(frac)))
+    cy = int(rng.integers(0, h))
+    cx = int(rng.integers(0, w))
+    y0, y1 = max(0, cy - side_y // 2), min(h, cy - side_y // 2 + side_y)
+    x0, x1 = max(0, cx - side_x // 2), min(w, cx - side_x // 2 + side_x)
+    out = x.copy()
+    out[y0:y1, x0:x1] = 0.0
+    return out
+
+
+def reference_image(spec, x, rng):
+    if spec.kind == "strong":  # ops 0-3: translate, jitter, contrast, noise
+        for op_idx in rng.integers(0, 4, size=2):
+            if op_idx == 0:
+                x = _ref_translate(x, spec.max_translate_frac, rng)
+            elif op_idx == 1:
+                x = _ref_jitter(x, spec.jitter_strength, rng)
+            elif op_idx == 2:
+                x = _ref_contrast(x, spec.jitter_strength, rng)
+            elif spec.noise_sigma:
+                x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
+        return _ref_cutout(x, spec.cutout_frac, rng)
+    if spec.kind == "cluster":
+        x = _ref_jitter(x, spec.jitter_strength, rng)
+    if spec.flip_prob and rng.random() < spec.flip_prob:
+        x = np.ascontiguousarray(x[:, ::-1])
+    return _ref_translate(x, spec.max_translate_frac, rng)
+
+
+def reference_batch(spec, xs, rng):
+    return np.stack([reference_image(spec, x, rng) for x in xs]) if len(xs) else xs.copy()
+
+
+def assert_matches_reference(spec, xs, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_batch(spec, xs, ref_rng)
+    got = apply_batch(spec, xs, rng)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (spec, seed)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, (spec, seed)
+
+
+MAGNITUDES = ("flip_prob", "max_translate_frac", "jitter_strength", "cutout_frac", "noise_sigma")
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (6, 10), (8, 8, 3), (1, 5)],
+                         ids=["8x8", "6x10", "8x8x3", "1x5"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_images_match_the_per_image_reference(kind, shape):
+    base = spec_for(kind, shape)
+    specs = [base, replace(base, max_translate_frac=1.0)]
+    specs += [replace(base, **{name: 0.0}) for name in MAGNITUDES]
+    data = np.random.default_rng(0).normal(size=(64,) + shape)
+    for spec in specs:
+        for seed in range(50):
+            for n in (0, 1, 64):
+                assert_matches_reference(spec, data[:n], seed)
+
+
+def test_contrast_after_translate_sums_like_the_reference():
+    # above 8192 pixels the mean of a mirror-padded crop has its own
+    # summation order; a translate in slot 1 leaves such a crop for slot 2
+    spec = spec_for("strong", (96, 96))
+    data = np.random.default_rng(1).normal(size=(32, 96, 96))
+    for seed in range(4):
+        assert_matches_reference(spec, data, seed)
