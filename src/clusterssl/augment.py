@@ -79,12 +79,8 @@ def spec_for(kind: str, data_shape, **overrides) -> AugmentSpec:
     return replace(base, **overrides) if overrides else base
 
 
-def rotate90(x: np.ndarray, quarters: int) -> np.ndarray:
-    """Rotate an (h, w[, ch]) image by quarters * 90 degrees counterclockwise."""
-    return np.ascontiguousarray(np.rot90(x, k=quarters % 4, axes=(0, 1)))
-
-
 def rotate90_batch(xs: np.ndarray, quarters: int) -> np.ndarray:
+    """Rotate every (h, w[, ch]) image of a batch by quarters * 90 degrees counterclockwise."""
     return np.ascontiguousarray(np.rot90(xs, k=quarters % 4, axes=(1, 2)))
 
 

@@ -1,9 +1,9 @@
 """Balanced-target clustering phase.
 
-The pool holds a fixed multiset of one-hot targets, floor(alpha*n/K) per
-cluster, and a mutable injective map from images to target slots. Each
-batch re-derives the optimal image<->target pairing with the assignment
-solver, unassigned images near a one-hot corner get transient pseudo-
+The pool binds floor(alpha*n/K) images to each cluster; a bound image's
+target is its cluster's one-hot vector. Each batch re-pairs its bound
+classes with its images through the assignment solver, so every class keeps
+its count. Unbound images near a one-hot corner get transient pseudo-
 targets, and the squared-distance loss pulls augmented replicas toward
 their targets. The trainer follows each assignment pass with a
 rotation-prediction pass over the same data when the data is image shaped.
@@ -33,14 +33,10 @@ UNASSIGNED = -1
 
 @dataclass(frozen=True)
 class ClusterBatchPlan:
-    """A sampled batch plus the targets its images currently hold."""
+    """A sampled batch plus a copy of the classes its images hold."""
 
     image_indices: np.ndarray
-    target_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.target_indices.shape[0] > self.image_indices.shape[0]:
-            raise ValueError("plan has more targets than images")
+    held: np.ndarray
 
 
 def one_hot(classes: np.ndarray, k: int) -> np.ndarray:
@@ -48,88 +44,59 @@ def one_hot(classes: np.ndarray, k: int) -> np.ndarray:
 
 
 class TargetPool:
-    """Fixed target multiset plus the injective image->target map."""
+    """Each image's class binding; every class binds exactly per_cluster images."""
 
-    def __init__(self, n: int, k: int, target_class: np.ndarray, img_to_target: np.ndarray):
+    def __init__(self, n: int, k: int, per_cluster: int, img_class: np.ndarray):
         self.n = int(n)
         self.k = int(k)
-        self.target_class = np.asarray(target_class, dtype=np.int64)
-        self.img_to_target = np.asarray(img_to_target, dtype=np.int64)
-        self.target_to_img = np.full(self.n_targets, UNASSIGNED, dtype=np.int64)
-        owned = np.flatnonzero(self.img_to_target != UNASSIGNED)
-        self.target_to_img[self.img_to_target[owned]] = owned
+        self.per_cluster = int(per_cluster)
+        self.img_class = np.asarray(img_class, dtype=np.int64)
         self.check_invariants()
-
-    @property
-    def n_targets(self) -> int:
-        return self.target_class.shape[0]
-
-    @property
-    def per_cluster(self) -> int:
-        return self.n_targets // self.k
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any violated structural invariant."""
-        counts = np.bincount(self.target_class, minlength=self.k)
+        if self.img_class.shape != (self.n,):
+            raise AssertionError(f"bindings have shape {self.img_class.shape}, not ({self.n},)")
+        bound = self.img_class[self.img_class != UNASSIGNED]
+        if bound.size and (bound.min() < 0 or bound.max() >= self.k):
+            raise AssertionError(f"a binding names a class outside 0..{self.k - 1}")
+        counts = np.bincount(bound, minlength=self.k)
         if not np.all(counts == self.per_cluster):
-            raise AssertionError(f"per-cluster target counts {counts} are not all {self.per_cluster}")
-        owned = self.img_to_target[self.img_to_target != UNASSIGNED]
-        if owned.size != np.unique(owned).size:
-            raise AssertionError("two images share a target")
-        if owned.size and (owned.min() < 0 or owned.max() >= self.n_targets):
-            raise AssertionError("assignment points outside the target pool")
-        back = self.target_to_img[owned]
-        if not np.all(self.img_to_target[back] == owned):
-            raise AssertionError("img->target and target->img maps disagree")
-
-    def assigned_mask(self, image_indices: np.ndarray) -> np.ndarray:
-        return self.img_to_target[image_indices] != UNASSIGNED
-
-    def assigned_classes(self, image_indices: np.ndarray) -> np.ndarray:
-        """Cluster ids of the targets held by the given (all assigned) images."""
-        slots = self.img_to_target[image_indices]
-        if np.any(slots == UNASSIGNED):
-            raise ValueError("some images are unassigned")
-        return self.target_class[slots]
+            raise AssertionError(f"per-class binding counts {counts} are not all {self.per_cluster}")
 
     def batch_plan(self, image_indices: np.ndarray) -> ClusterBatchPlan:
         image_indices = np.asarray(image_indices, dtype=np.int64)
-        slots = self.img_to_target[image_indices]
-        return ClusterBatchPlan(image_indices, slots[slots != UNASSIGNED])
+        return ClusterBatchPlan(image_indices, self.img_class[image_indices])
 
     def rebind(self, plan: ClusterBatchPlan, sol: Assignment) -> int:
-        """Point the plan's targets at the images the solver matched.
+        """Give the batch's bound classes to the images the solver matched.
 
-        Returns the number of images in the batch whose binding changed.
+        Solver row i is the i-th bound class in batch order, and sol.cols[i]
+        the batch position that receives it. Returns the number of batch
+        images whose class changed.
         """
         imgs = plan.image_indices
-        tgts = plan.target_indices
-        current = self.target_to_img[tgts]
-        if not np.isin(current, imgs).all():
-            raise ValueError("stale plan: some targets no longer belong to the batch")
-        before = self.img_to_target[imgs].copy()
-        self.img_to_target[current] = UNASSIGNED
-        new_imgs = imgs[np.array(sol.cols, dtype=np.int64)]
-        self.img_to_target[new_imgs] = tgts
-        self.target_to_img[tgts] = new_imgs
-        return int((self.img_to_target[imgs] != before).sum())
+        if not np.array_equal(self.img_class[imgs], plan.held):
+            raise ValueError("stale plan: the batch's bindings changed since it was drawn")
+        self.img_class[imgs] = UNASSIGNED
+        self.img_class[imgs[np.array(sol.cols, dtype=np.int64)]] = plan.held[plan.held != UNASSIGNED]
+        return int((self.img_class[imgs] != plan.held).sum())
 
     def to_state(self) -> dict:
         return {
             "n": self.n,
             "k": self.k,
             "per_cluster": self.per_cluster,
-            "img_to_target": self.img_to_target.tolist(),
+            "img_class": self.img_class.tolist(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "TargetPool":
-        target_class = np.repeat(np.arange(state["k"]), state["per_cluster"])
-        return cls(state["n"], state["k"], target_class, np.array(state["img_to_target"]))
+        return cls(state["n"], state["k"], state["per_cluster"], np.array(state["img_class"]))
 
 
 def init_target_pool(n: int, k: int, alpha: float, rng: np.random.Generator) -> TargetPool:
-    """floor(alpha*n/K) one-hot targets per cluster, each bound to a distinct image."""
+    """floor(alpha*n/K) distinct images bound to each cluster."""
     if k < 2:
         raise ConfigurationError(f"k must be >= 2, got {k}")
     if n < k:
@@ -137,29 +104,26 @@ def init_target_pool(n: int, k: int, alpha: float, rng: np.random.Generator) -> 
     per_cluster = int(alpha * n / k)
     if per_cluster == 0:
         raise ConfigurationError(f"alpha*n/K = {alpha * n / k:.3f} floors to zero targets per cluster")
-    n_targets = per_cluster * k
-    target_class = np.repeat(np.arange(k), per_cluster)
-    img_to_target = np.full(n, UNASSIGNED, dtype=np.int64)
-    chosen = rng.permutation(n)[:n_targets]
-    img_to_target[chosen] = np.arange(n_targets)
-    return TargetPool(n, k, target_class, img_to_target)
+    img_class = np.full(n, UNASSIGNED, dtype=np.int64)
+    img_class[rng.permutation(n)[: per_cluster * k]] = np.repeat(np.arange(k), per_cluster)
+    return TargetPool(n, k, per_cluster, img_class)
 
 
 def assign_batch(pool: TargetPool, plan: ClusterBatchPlan, outputs: np.ndarray) -> int:
-    """Optimal pairing of the plan's targets to the batch images.
+    """Optimal pairing of the batch's bound classes to the batch images.
 
-    cost[i][j] = ||outputs_j - t_i||^2. The pool is updated in place;
-    targets are conserved and injectivity is preserved by construction.
-    Returns the number of batch images whose binding changed.
+    cost[i][j] = ||outputs_j - e_{c_i}||^2 for the i-th bound class c_i.
+    The pool is updated in place and each class keeps its count. Returns
+    the number of batch images whose class changed.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     b = plan.image_indices.shape[0]
-    c = plan.target_indices.shape[0]
     if outputs.shape != (b, pool.k):
         raise ValueError(f"outputs shape {outputs.shape} != ({b}, {pool.k})")
-    if c == 0:
+    classes = plan.held[plan.held != UNASSIGNED]
+    if classes.size == 0:
         return 0
-    tvecs = one_hot(pool.target_class[plan.target_indices], pool.k)
+    tvecs = one_hot(classes, pool.k)
     cost = ((tvecs[:, None, :] - outputs[None, :, :]) ** 2).sum(axis=2)
     return pool.rebind(plan, hungarian_solve(cost))
 
@@ -296,17 +260,11 @@ def clustering_epoch(
         feats = features[batch]
         f, _ = model.forward(flatten(feats))
         reassigned_total += assign_batch(pool, pool.batch_plan(batch), f)
-        assigned = pool.assigned_mask(batch)
-        pseudo_idx, pseudo_cls = confident_pseudo(f, assigned, cfg.rho)
+        classes = pool.img_class[batch]
+        pseudo_idx, pseudo_cls = confident_pseudo(f, classes != UNASSIGNED, cfg.rho)
         confident_total += int(pseudo_idx.size)
-
-        member = assigned.copy()
-        member[pseudo_idx] = True
-        classes = np.empty(batch.shape[0], dtype=np.int64)
-        if assigned.any():
-            classes[assigned] = pool.assigned_classes(batch[assigned])
         classes[pseudo_idx] = pseudo_cls
-        sel = np.flatnonzero(member)
+        sel = np.flatnonzero(classes != UNASSIGNED)
         if sel.size == 0:
             continue
         loss, grads = clustering_loss(

@@ -40,7 +40,7 @@ from .optim import EmaState, Sgd
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _CHECKPOINT_KEYS = (
     "version", "iteration", "arch", "params", "ema_shadow", "ema_decay",
@@ -370,7 +370,10 @@ class _Driver:
         if state["config"] != self.cfg.to_dict():
             raise ConfigurationError("checkpoint was produced by a different config; refusing to resume")
         self.model = state["model"]
-        self.pool = TargetPool.from_state(state["pool"]) if state["pool"] is not None else None
+        try:
+            self.pool = TargetPool.from_state(state["pool"]) if state["pool"] is not None else None
+        except (AssertionError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"checkpoint {path} holds a damaged target pool: {exc!r}") from None
         check_fit(self.model, self.pool, self.dataset, self.split)
         self.ema = EmaState(state["ema_shadow_arr"], state["ema_decay"])
         self.opt = Sgd(self.model.n_params, self.cfg.momentum)

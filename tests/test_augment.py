@@ -7,7 +7,6 @@ from clusterssl.augment import (
     KINDS,
     AugmentSpec,
     apply_batch,
-    rotate90,
     rotate90_batch,
     spec_for,
 )
@@ -93,17 +92,19 @@ def test_vector_batch_matches_per_item(rng):
 
 
 def test_rotate90_cycle(rng):
-    x = rng.normal(size=IMG)
-    assert np.array_equal(rotate90(rotate90(rotate90(rotate90(x, 1), 1), 1), 1), x)
-    assert np.array_equal(rotate90(x, 0), x)
-    assert np.array_equal(rotate90(x, 2), rotate90(rotate90(x, 1), 1))
+    xs = rng.normal(size=(3,) + IMG)
+    once = rotate90_batch(xs, 1)
+    assert np.array_equal(rotate90_batch(rotate90_batch(rotate90_batch(once, 1), 1), 1), xs)
+    assert np.array_equal(rotate90_batch(xs, 0), xs)
+    assert np.array_equal(rotate90_batch(xs, 2), rotate90_batch(once, 1))
+    assert np.array_equal(rotate90_batch(xs, -1), rotate90_batch(xs, 3))
 
 
 def test_rotate90_batch_matches_single(rng):
     xs = rng.normal(size=(3,) + IMG)
     rotated = rotate90_batch(xs, 3)
     for i in range(3):
-        assert np.array_equal(rotated[i], rotate90(xs[i], 3))
+        assert np.array_equal(rotated[i], np.rot90(xs[i], k=3))
 
 
 def test_translate_stays_within_bound(rng):

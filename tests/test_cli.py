@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from clusterssl.cli import main
+from clusterssl.trainer import CHECKPOINT_VERSION
 
 
 GMM_TRAIN = {
@@ -145,7 +146,8 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
     broken.write_text(open(ck).read()[:100])
     assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
     assert "corrupt" in capsys.readouterr().err
-    for payload, message in (("[]", "not a JSON object"), ('{"version": 1}', "lacks key")):
+    for payload, message in (("[]", "not a JSON object"),
+                             (json.dumps({"version": CHECKPOINT_VERSION}), "lacks key")):
         broken.write_text(payload)
         assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
         assert message in capsys.readouterr().err

@@ -59,8 +59,31 @@ def test_pool_balanced_counts():
     for alpha in (1.0, 0.5, 0.3):
         pool = make_pool(n=41, alpha=alpha)
         per = int(alpha * 41) // 4
-        counts = np.bincount(pool.target_class, minlength=4)
-        assert np.all(counts == per)
+        assert pool.per_cluster == per
+        bound = pool.img_class[pool.img_class != UNASSIGNED]
+        assert np.all(np.bincount(bound, minlength=4) == per)
+        pool.check_invariants()
+
+
+def test_pool_init_classes_follow_the_permutation():
+    # the first per_cluster drawn images get class 0, the next class 1, ...
+    pool = make_pool(n=41, k=4, alpha=0.5, seed=2)
+    chosen = np.random.default_rng(2).permutation(41)[:20]
+    assert pool.img_class[chosen].tolist() == np.repeat(np.arange(4), 5).tolist()
+    assert np.all(np.delete(pool.img_class, chosen) == UNASSIGNED)
+
+
+@pytest.mark.parametrize("img_class, message", [
+    ([0, 0, 1, UNASSIGNED], "binding counts"),  # class 0 bound one time too many
+    ([0, UNASSIGNED, UNASSIGNED, UNASSIGNED], "binding counts"),  # class 1 lost
+    ([0, 1, 2, UNASSIGNED], "outside"),
+    ([0, 1, -2, UNASSIGNED], "outside"),
+    ([0, 1, UNASSIGNED], "shape"),
+])
+def test_pool_invariants_catch_damage(img_class, message):
+    pool = TargetPool(n=4, k=2, per_cluster=1, img_class=np.array([0, 1, UNASSIGNED, UNASSIGNED]))
+    pool.img_class = np.array(img_class)
+    with pytest.raises(AssertionError, match=message):
         pool.check_invariants()
 
 
@@ -82,25 +105,33 @@ def test_assign_rebind_conserves_targets(rng):
     batch = np.arange(12)
     plan = pool.batch_plan(batch)
     f, _ = model.forward(feats[batch])
-    before = pool.img_to_target[batch].copy()
+    before = pool.img_class[batch].copy()
     changed = assign_batch(pool, plan, f)  # rebinds the pool in place
     pool.check_invariants()
-    assert changed == int((pool.img_to_target[batch] != before).sum())
-    counts = np.bincount(pool.target_class, minlength=3)
-    assert np.all(counts == 8)  # pool composition never changes
+    assert changed == int((pool.img_class[batch] != before).sum())
+    counts = np.bincount(pool.img_class[pool.img_class != UNASSIGNED], minlength=3)
+    assert np.all(counts == 8)  # every class keeps its count
+
+
+def test_rebind_counts_only_class_changes():
+    # images 0 and 1 both hold class 0; swapping them leaves every class in place
+    pool = TargetPool(n=4, k=2, per_cluster=2, img_class=np.array([0, 0, 1, 1]))
+    plan = pool.batch_plan(np.array([0, 1]))
+    assert pool.rebind(plan, Assignment((1, 0), 0.0)) == 0
+    assert pool.img_class.tolist() == [0, 0, 1, 1]
+    # crossing classes between images 1 and 2 changes both
+    plan = pool.batch_plan(np.array([1, 2]))
+    assert pool.rebind(plan, Assignment((1, 0), 0.0)) == 2
+    assert pool.img_class.tolist() == [0, 1, 0, 1]
 
 
 def test_rebind_rejects_stale_plan():
-    # one target per class; target 0 starts on image 0
-    pool = TargetPool(
-        n=3, k=2,
-        target_class=np.array([0, 1]),
-        img_to_target=np.array([0, 1, UNASSIGNED]),
-    )
+    # one image per class; image 0 starts with class 0
+    pool = TargetPool(n=3, k=2, per_cluster=1, img_class=np.array([0, 1, UNASSIGNED]))
     plan = pool.batch_plan(np.array([0]))
     sol = Assignment((0,), 0.0)
     pool.rebind(plan, sol)
-    # a wider batch hands target 0 to image 2
+    # a wider batch hands class 0 to image 2
     wide = pool.batch_plan(np.array([0, 2]))
     outputs = np.array([[0.0, 1.0], [1.0, 0.0]])
     assign_batch(pool, wide, outputs)
@@ -112,21 +143,16 @@ def test_assign_batch_empty_plan():
     pool = make_pool(n=8, k=4, alpha=0.5)
     # batch containing only unbound images after detaching everything
     plan = ClusterBatchPlan(image_indices=np.array([], dtype=np.int64),
-                            target_indices=np.array([], dtype=np.int64))
+                            held=np.array([], dtype=np.int64))
     assert assign_batch(pool, plan, np.zeros((0, 4))) == 0
 
 
 def test_assign_batch_prefers_nearby_targets():
-    pool = TargetPool(
-        n=4, k=2,
-        target_class=np.array([0, 1]),
-        img_to_target=np.array([0, 1, UNASSIGNED, UNASSIGNED]),
-    )
+    pool = TargetPool(n=4, k=2, per_cluster=1, img_class=np.array([0, 1, UNASSIGNED, UNASSIGNED]))
     plan = pool.batch_plan(np.array([0, 1]))
     outputs = np.array([[0.1, 0.9], [0.9, 0.1]])  # image 0 looks like class 1
-    assign_batch(pool, plan, outputs)
-    assert pool.target_class[pool.img_to_target[0]] == 1
-    assert pool.target_class[pool.img_to_target[1]] == 0
+    assert assign_batch(pool, plan, outputs) == 2
+    assert pool.img_class.tolist() == [1, 0, UNASSIGNED, UNASSIGNED]
 
 
 def test_clustering_loss_value_and_empty(rng):
@@ -198,5 +224,5 @@ def test_pool_state_round_trip():
     pool = make_pool(n=30, k=3, alpha=0.6, seed=9)
     back = TargetPool.from_state(pool.to_state())
     back.check_invariants()
-    assert np.array_equal(back.img_to_target, pool.img_to_target)
-    assert np.array_equal(back.target_class, pool.target_class)
+    assert np.array_equal(back.img_class, pool.img_class)
+    assert (back.n, back.k, back.per_cluster) == (pool.n, pool.k, pool.per_cluster)

@@ -67,13 +67,13 @@ def test_shapes_classes_are_separable_by_template():
 
 def test_shapes_rotations_distinct():
     # the rotation pretext needs all four views of a clean template to differ
-    from clusterssl.augment import rotate90
+    from clusterssl.augment import rotate90_batch
 
     ds = make_shape_images(len(SHAPE_NAMES), 60, 8, seed=4)
     cents = np.stack([ds.features[ds.labels == c].mean(axis=0)
                       for c in range(len(SHAPE_NAMES))])
     for c, cent in enumerate(cents):
-        views = [rotate90(cent, q) for q in range(4)]
+        views = [rotate90_batch(cent[None], q)[0] for q in range(4)]
         for a in range(4):
             for b in range(a + 1, 4):
                 assert np.abs(views[a] - views[b]).mean() > 0.02, (SHAPE_NAMES[c], a, b)

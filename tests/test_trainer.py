@@ -9,6 +9,7 @@ from clusterssl.data import DatasetSplit, make_shape_images, partition
 from clusterssl.errors import ConfigurationError, DivergenceError
 from clusterssl.network import Model
 from clusterssl.trainer import (
+    CHECKPOINT_VERSION,
     CSV_COLUMNS,
     TrainConfig,
     evaluate,
@@ -148,7 +149,7 @@ def test_checkpoint_rejects_damage(tmp_path):
     path.write_text("[]")
     with pytest.raises(ValueError, match="not a JSON object"):
         load_checkpoint(str(path))
-    path.write_text(json.dumps({"version": 1}))
+    path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
     with pytest.raises(ValueError, match="lacks key"):
         load_checkpoint(str(path))
 
@@ -309,6 +310,28 @@ def test_resume_refuses_data_the_checkpoint_does_not_fit(tmp_path, small_gmm):
         other = make_gaussian_mixture(k, n, d, 6.0, seed=7)
         with pytest.raises(ConfigurationError, match=message):
             train(cfg, other, partition(other, 4, 0.2, seed=1), resume_from=ck)
+
+
+def _overbind_class_0(pool):
+    pool["img_class"][pool["img_class"].index(1)] = 0
+
+
+@pytest.mark.parametrize("damage", [_overbind_class_0, lambda pool: pool.pop("img_class")],
+                         ids=["class-bound-once-too-often", "bindings-missing"])
+def test_resume_refuses_a_damaged_pool(tmp_path, small_gmm, damage):
+    ds, split = small_gmm
+    cfg = TrainConfig(**{**SMALL, "iters": 1})
+    out = str(tmp_path / "run")
+    train(cfg, ds, split, out_dir=out)
+    ck = os.path.join(out, "checkpoint.json")
+    with open(ck, encoding="utf-8") as fh:
+        state = json.load(fh)
+    damage(state["pool"])
+    with open(ck, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+    with pytest.raises(ConfigurationError, match="damaged target pool") as info:
+        train(cfg, ds, split, resume_from=ck)
+    assert ck in str(info.value)
 
 
 def test_model_argument_must_fit_the_data(small_gmm, rng):
