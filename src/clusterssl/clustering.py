@@ -156,11 +156,13 @@ def clustering_loss(
     g_spec: AugmentSpec,
     r: int,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean squared distance of r augmented replicas to their shared targets.
 
-    L = (1/(|S|*r)) sum_i sum_{j<=r} ||f(g(x_i)) - y_i||^2. Raises on an
-    empty image set; callers skip the parameter update in that case.
+    L = (1/(|S|*r)) sum_i sum_{j<=r} ||f(g(x_i)) - y_i||^2. The gradient is
+    summed in ``out`` when given, else in a new vector. Raises on an empty
+    image set; callers skip the parameter update in that case.
     """
     images = np.asarray(images, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -172,7 +174,8 @@ def clustering_loss(
     if targets.shape != (m, model.k):
         raise ValueError(f"targets shape {targets.shape} != ({m}, {model.k})")
     total = 0.0
-    grads = np.zeros(model.n_params)
+    grads = np.empty(model.n_params) if out is None else out
+    grads.fill(0.0)
     for _ in range(r):
         aug = apply_batch(g_spec, images, rng)
         f, _ = model.forward(flatten(aug))
@@ -268,7 +271,7 @@ def clustering_epoch(
         if sel.size == 0:
             continue
         loss, grads = clustering_loss(
-            model, feats[sel], one_hot(classes[sel], pool.k), g_spec, cfg.r, rng
+            model, feats[sel], one_hot(classes[sel], pool.k), g_spec, cfg.r, rng, out=opt.scratch
         )
         cluster_losses.append(loss)
         opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)

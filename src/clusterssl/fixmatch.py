@@ -112,9 +112,12 @@ def ssl_step(
     loss_u, grads_u, n_conf = unlabeled_loss_grads(
         model, unlabeled_x, weak_spec, strong_spec, cfg.tau, temperature, rng
     )
+    # kept in the optimizer's scratch: the labeled backward reuses the model's gradient vector
+    grads = np.multiply(grads_u, cfg.lambda_u, out=opt.scratch)
     loss_s, grads_s = labeled_loss_grads(model, labeled_x, labeled_y, weak_spec, temperature, rng)
+    grads += grads_s
     total = loss_s + cfg.lambda_u * loss_u
-    opt.step(model, grads_s + cfg.lambda_u * grads_u, cfg.lr_ssl, cfg.wd_ssl)
+    opt.step(model, grads, cfg.lr_ssl, cfg.wd_ssl)
     ema.update(model.params)
     return SslStepStats(total, loss_s, loss_u, n_conf, int(np.asarray(unlabeled_x).shape[0]))
 

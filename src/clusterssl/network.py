@@ -10,6 +10,16 @@ only place that knows its layout. Layers come in order trunk, cluster
 head, rotation head, and each layer holds its row-major ``(out, in)``
 weight followed by its bias. Every layer's weight and bias are views into
 the model's vector, and backward returns gradients in the same layout.
+
+The hot path writes into arrays it already owns. A 448x128 activation is
+458 KB, above glibc's 128 KB mmap threshold, so each such temporary costs
+fresh pages: on one BLAS thread ``x @ W.T + b`` took 671 us against 345 us
+with the bias added in place, and ``np.where(z > 0, z, slope * z)`` 814 us
+against 32 us for ``np.maximum(z, slope * z)`` into the ``slope * z``
+buffer, with the same bytes. ``forward`` returns fresh arrays; its cache
+owns the input and trunk activations, which ``backward`` consumes, turning
+each into its slope factor after its last use. ``backward`` returns the
+model's own gradient vector, which the next ``backward`` overwrites.
 """
 
 from __future__ import annotations
@@ -22,11 +32,16 @@ NORM_EPS = 1e-12
 
 
 def leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, z, slope * z)
+    """``where(z > 0, z, slope * z)`` bit for bit for slope in [0, 1), except
+    that slope 0 maps +inf to NaN (0 * inf); ``Model.forward`` raises on either."""
+    out = slope * z
+    return np.maximum(z, out, out=out)
 
 
-def leaky_relu_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, slope)
+def leaky_relu_factor(h: np.ndarray, slope: float) -> np.ndarray:
+    """Overwrite ``h = leaky_relu(z, slope)`` with ``where(z > 0, 1.0, slope)``; h > 0 iff z > 0."""
+    np.greater(h, 0.0, out=h)
+    return np.maximum(h, slope, out=h)
 
 
 def l2_normalize_rows(v: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +57,6 @@ def l2_normalize_rows(v: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray,
     out = v / safe[:, None]
     degenerate = norms < eps
     if np.any(degenerate):
-        out = out.copy()
         out[degenerate] = 0.0
         out[degenerate, 0] = 1.0
     return out, norms
@@ -57,7 +71,6 @@ def l2_normalize_rows_backward(
     grad = (upstream - out * inner) / safe[:, None]
     degenerate = norms < eps
     if np.any(degenerate):
-        grad = grad.copy()
         grad[degenerate] = 0.0
     return grad
 
@@ -112,7 +125,9 @@ class AffineLayer:
         self.bias = bias
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.T + self.bias
+        out = x @ self.weight.T
+        out += self.bias
+        return out
 
     def backward(
         self, x: np.ndarray, d_out: np.ndarray, d_weight: np.ndarray, d_bias: np.ndarray
@@ -154,6 +169,8 @@ class Model:
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.k = int(k)
         self.leaky_slope = float(leaky_slope)
+        if not 0.0 <= self.leaky_slope < 1.0:
+            raise ValueError(f"leaky_slope must be a finite value in [0, 1), got {leaky_slope}")
         dims = [self.in_dim, *self.hidden_sizes]
         self._shapes = [
             *zip(dims[1:], dims[:-1]), (self.k, dims[-1]), (self.N_ROTATIONS, dims[-1])
@@ -163,6 +180,7 @@ class Model:
         *self.trunk, self.cluster_head, self.rot_head = (
             AffineLayer(weight, bias) for weight, bias in layer_views(self._params, self._shapes)
         )
+        self._grads = np.empty(self.n_params)  # backward writes every entry
         self._cache = None
 
     # -- parameter plumbing ------------------------------------------------
@@ -197,9 +215,6 @@ class Model:
         model.set_params(params)
         return model
 
-    def copy(self) -> "Model":
-        return Model.from_arch(self.arch(), self._params)
-
     # -- forward / backward ------------------------------------------------
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,13 +227,9 @@ class Model:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected input of shape (batch, {self.in_dim}), got {x.shape}")
         acts = [x]
-        pre = []
-        h = x
         for layer in self.trunk:
-            z = layer.forward(h)
-            pre.append(z)
-            h = leaky_relu(z, self.leaky_slope)
-            acts.append(h)
+            acts.append(leaky_relu(layer.forward(acts[-1]), self.leaky_slope))
+        h = acts[-1]
         cluster_pre = self.cluster_head.forward(h)
         cluster_out, norms = l2_normalize_rows(cluster_pre)
         if not np.all(np.isfinite(norms)):
@@ -226,7 +237,7 @@ class Model:
             # keep every loss bounded, hiding a runaway parameter scale
             raise DivergenceError("cluster head activations overflowed")
         rot_logits = self.rot_head.forward(h)
-        self._cache = (acts, pre, cluster_pre, cluster_out, norms)
+        self._cache = (acts, cluster_pre, cluster_out, norms)
         return cluster_out, rot_logits
 
     def backward(
@@ -234,39 +245,46 @@ class Model:
     ) -> np.ndarray:
         """Backpropagate upstream gradients from either or both heads.
 
-        Returns a flat gradient vector in the layout of ``params``; a head
-        without an upstream gradient gets zeros. Raises RuntimeError if no
-        forward pass has been cached.
+        Returns the model's gradient vector in the layout of ``params``; a
+        head without an upstream gradient gets zeros. Consumes the forward
+        cache: raises RuntimeError unless a forward ran since the last backward.
         """
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        acts, pre, cluster_pre, cluster_out, norms = self._cache
+            raise RuntimeError("backward needs a forward pass since the last backward")
+        (acts, cluster_pre, cluster_out, norms), self._cache = self._cache, None
         batch = acts[0].shape[0]
-        penult = acts[-1]
-        d_penult = np.zeros_like(penult)
-        grads = np.zeros(self.n_params)
-        *trunk_grads, cluster_grads, rot_grads = layer_views(grads, self._shapes)
-
         if d_cluster is not None:
             d_cluster = np.asarray(d_cluster, dtype=np.float64)
             if d_cluster.shape != (batch, self.k):
                 raise ValueError(f"d_cluster shape {d_cluster.shape} != {(batch, self.k)}")
-            d_pre_norm = l2_normalize_rows_backward(cluster_pre, cluster_out, norms, d_cluster)
-            self.cluster_head.backward(penult, d_pre_norm, *cluster_grads)
-            d_penult += d_pre_norm @ self.cluster_head.weight
-
+            d_cluster = l2_normalize_rows_backward(cluster_pre, cluster_out, norms, d_cluster)
         if d_rot is not None:
             d_rot = np.asarray(d_rot, dtype=np.float64)
             if d_rot.shape != (batch, self.N_ROTATIONS):
                 raise ValueError(f"d_rot shape {d_rot.shape} != {(batch, self.N_ROTATIONS)}")
-            self.rot_head.backward(penult, d_rot, *rot_grads)
-            d_penult += d_rot @ self.rot_head.weight
-
-        d_h = d_penult
+        penult = acts[-1]
+        *trunk_grads, cluster_grads, rot_grads = layer_views(self._grads, self._shapes)
+        d_penult = []
+        for head, d_out, (d_weight, d_bias) in (
+            (self.cluster_head, d_cluster, cluster_grads), (self.rot_head, d_rot, rot_grads)
+        ):
+            if d_out is None:
+                d_weight[...] = 0.0
+                d_bias[...] = 0.0
+            else:
+                head.backward(penult, d_out, d_weight, d_bias)
+                d_penult.append(d_out @ head.weight)
+        if not self.trunk:
+            return self._grads
+        d_h = d_penult[0] if d_penult else np.zeros_like(penult)
+        d_h += 0.0  # as a sum started from zeros: -0.0 becomes +0.0, nothing else changes
+        for term in d_penult[1:]:
+            d_h += term
         for idx in range(len(self.trunk) - 1, -1, -1):
-            d_z = d_h * leaky_relu_grad(pre[idx], self.leaky_slope)
+            # the layer's activation has had its last use and becomes its slope factor
+            d_h *= leaky_relu_factor(acts[idx + 1], self.leaky_slope)
             layer = self.trunk[idx]
-            layer.backward(acts[idx], d_z, *trunk_grads[idx])
+            layer.backward(acts[idx], d_h, *trunk_grads[idx])
             if idx:  # nothing upstream of the first layer needs its input gradient
-                d_h = d_z @ layer.weight
-        return grads
+                d_h = d_h @ layer.weight
+        return self._grads

@@ -105,6 +105,8 @@ class TrainConfig:
             raise ConfigurationError(f"rho must be in (0, 2), got {self.rho}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not 0.0 <= self.leaky_slope < 1.0:
+            raise ConfigurationError(f"leaky_slope must be in [0, 1), got {self.leaky_slope}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -376,8 +378,7 @@ class _Driver:
             raise ConfigurationError(f"checkpoint {path} holds a damaged target pool: {exc!r}") from None
         check_fit(self.model, self.pool, self.dataset, self.split)
         self.ema = EmaState(state["ema_shadow_arr"], state["ema_decay"])
-        self.opt = Sgd(self.model.n_params, self.cfg.momentum)
-        self.opt.velocity = state["velocity_arr"]
+        self.opt = Sgd(self.model.n_params, self.cfg.momentum, state["velocity_arr"])
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = state["rng_state"]
         self.rows = list(state["rows"])

@@ -16,6 +16,7 @@ import pytest
 
 from clusterssl.clustering import UNASSIGNED, flatten
 from clusterssl.data import make_gaussian_mixture, make_shape_images, partition
+from clusterssl.network import Model
 from clusterssl.trainer import TrainConfig, evaluate, train, warmup_rotation_accuracy
 from clusterssl.verify import verify_gradients, verify_hungarian, verify_murty
 
@@ -28,9 +29,7 @@ def _report(num, ok, detail):
 
 
 def _ema_model(rec):
-    model = rec.model.copy()
-    model.set_params(rec.ema.shadow)
-    return model
+    return Model.from_arch(rec.model.arch(), rec.ema.shadow)
 
 
 def _predictions(rec, ds, split):

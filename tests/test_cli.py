@@ -66,6 +66,7 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     ("tau", 1.5), ("tau", 0.0), ("rho", 2.0), ("rho", -0.1), ("lambda_u", -1.0), ("mu", 0),
     ("logit_temperature", 0.0), ("alpha", 0.0), ("alpha", 1.5), ("hidden_sizes", [0]),
     ("tau", 1.0), ("batch_size", 0), ("lr_cluster", 0.0), ("wd_ssl", -1e-4),
+    ("leaky_slope", 2.0), ("leaky_slope", float("nan")),
 ])
 def test_out_of_range_train_value_is_exit_2_on_dry_run(tmp_path, capsys, field, value):
     cfg = json.loads(json.dumps(GMM_TRAIN))

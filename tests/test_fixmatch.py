@@ -67,6 +67,7 @@ def test_unlabeled_equals_labeled_on_identity_views(rng):
     assert 0.0 < tau < 1.0
     loss_u, grads_u, n_conf = unlabeled_loss_grads(
         model, u, IDENTITY, IDENTITY, tau, 0.1, np.random.default_rng(0))
+    grads_u = grads_u.copy()  # the model's gradient vector; the next backward overwrites it
     loss_s, grads_s = labeled_loss_grads(model, u, classes, IDENTITY, 0.1,
                                          np.random.default_rng(0))
     assert n_conf == 20

@@ -40,6 +40,10 @@ def test_config_validation():
         TrainConfig(r=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(wd_cluster=-1e-4)
+    for slope in (1.0, 2.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="leaky_slope"):
+            TrainConfig(leaky_slope=slope)
+    assert TrainConfig(leaky_slope=0.0).leaky_slope == 0.0
     cfg = TrainConfig(hidden_sizes=[32, 16])
     assert cfg.hidden_sizes == (32, 16)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
@@ -122,8 +126,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
 
     model = Model(6, (5,), 3, rng=rng)
     ema = EmaState(model.get_params() * 0.5, 0.99)
-    opt = Sgd(model.n_params, 0.9)
-    opt.velocity = rng.normal(size=model.n_params)
+    opt = Sgd(model.n_params, 0.9, velocity=rng.normal(size=model.n_params))
     pool = init_target_pool(12, 3, 1.0, rng)
     path = str(tmp_path / "ck.json")
     rows = [{"iter": 1, "phase": "ssl", "epoch": 0, "L_s": 0.125}]
