@@ -72,6 +72,8 @@ def cmd_eval(args) -> int:
     from .errors import ConfigurationError
     from .trainer import check_fit, evaluate, load_checkpoint, topk_permutation_accuracy
 
+    if args.topk < 0:
+        raise ConfigurationError(f"--topk must be >= 0, got {args.topk}")
     cfg = _load(args)
     dataset, split = build_experiment(cfg)
     try:
@@ -157,6 +159,8 @@ def main(argv=None) -> int:
 
     try:
         _apply_threads(args.threads)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

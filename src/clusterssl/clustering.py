@@ -178,10 +178,10 @@ def clustering_loss(
     grads.fill(0.0)
     for _ in range(r):
         aug = apply_batch(g_spec, images, rng)
-        f, _ = model.forward(flatten(aug))
+        f = model.forward(flatten(aug))
         diff = f - targets
         total += float((diff**2).sum())
-        grads += model.backward(d_cluster=2.0 * diff / (m * r))
+        grads += model.backward(2.0 * diff / (m * r))
     return total / (m * r), grads
 
 
@@ -193,7 +193,7 @@ def _rotated_logits(model: Model, images: np.ndarray) -> tuple[np.ndarray, np.nd
             f"rotation pretext needs square image data, got item shape {images.shape[1:]}"
         )
     views = np.concatenate([rotate90_batch(images, q) for q in range(4)])
-    _, logits = model.forward(flatten(views))
+    logits = model.forward(flatten(views), head="rotation")
     return logits, np.repeat(np.arange(4), images.shape[0])
 
 
@@ -201,7 +201,7 @@ def rotnet_pass(model: Model, images: np.ndarray) -> tuple[float, np.ndarray]:
     """Cross-entropy of the rotation head over all four 90-degree views."""
     logits, labels = _rotated_logits(model, images)
     loss, d_logits = softmax_cross_entropy(logits, labels)
-    return loss, model.backward(d_rot=d_logits)
+    return loss, model.backward(d_logits)
 
 
 def rotation_accuracy(model: Model, images: np.ndarray) -> float:
@@ -236,11 +236,12 @@ def rotation_epoch(
     """
     order = rng.permutation(features.shape[0])
     losses = []
-    for batch in _batched(order, cfg.batch_size):
-        loss, grads = rotnet_pass(model, features[batch])
-        losses.append(loss)
-        opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
-        ema.update(model.params)
+    with model.epoch():
+        for batch in _batched(order, cfg.batch_size):
+            loss, grads = rotnet_pass(model, features[batch])
+            losses.append(loss)
+            opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
+            ema.update(model.params)
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -259,23 +260,23 @@ def clustering_epoch(
     cluster_losses = []
     confident_total = 0
     reassigned_total = 0
-    for batch in _batched(order, cfg.batch_size):
-        feats = features[batch]
-        f, _ = model.forward(flatten(feats))
-        reassigned_total += assign_batch(pool, pool.batch_plan(batch), f)
-        classes = pool.img_class[batch]
-        pseudo_idx, pseudo_cls = confident_pseudo(f, classes != UNASSIGNED, cfg.rho)
-        confident_total += int(pseudo_idx.size)
-        classes[pseudo_idx] = pseudo_cls
-        sel = np.flatnonzero(classes != UNASSIGNED)
-        if sel.size == 0:
-            continue
-        loss, grads = clustering_loss(
-            model, feats[sel], one_hot(classes[sel], pool.k), g_spec, cfg.r, rng, out=opt.scratch
-        )
-        cluster_losses.append(loss)
-        opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
-        ema.update(model.params)
+    with model.epoch():
+        for batch in _batched(order, cfg.batch_size):
+            feats = features[batch]
+            f = model.forward(flatten(feats))
+            reassigned_total += assign_batch(pool, pool.batch_plan(batch), f)
+            classes = pool.img_class[batch]
+            pseudo_idx, pseudo_cls = confident_pseudo(f, classes != UNASSIGNED, cfg.rho)
+            confident_total += int(pseudo_idx.size)
+            classes[pseudo_idx] = pseudo_cls
+            sel = np.flatnonzero(classes != UNASSIGNED)
+            if sel.size == 0:
+                continue
+            targets = one_hot(classes[sel], pool.k)
+            loss, grads = clustering_loss(model, feats[sel], targets, g_spec, cfg.r, rng, opt.scratch)
+            cluster_losses.append(loss)
+            opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
+            ema.update(model.params)
 
     loss_cluster = float(np.mean(cluster_losses)) if cluster_losses else float("nan")
     return ClusterEpochStats(loss_cluster, confident_total, reassigned_total)

@@ -84,6 +84,9 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "dataset", _normalize_dataset(self.dataset))
         object.__setattr__(self, "split", _normalize_split(self.split))
+        for name, block in (("dataset", self.dataset), ("split", self.split)):
+            if block.get("seed", 0) < 0:  # a file-backed dataset has no seed
+                raise ConfigurationError(f"{name}.seed must be >= 0, got {block['seed']}")
 
     def to_dict(self) -> dict:
         return {

@@ -36,10 +36,10 @@ def _bridge_loss(
     model: Model, x_flat: np.ndarray, labels: np.ndarray, temperature: float
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy through the softmax bridge; returns (loss, flat grads)."""
-    f, _ = model.forward(x_flat)
+    f = model.forward(x_flat)
     scale = model.k / temperature
     loss, d_logits = softmax_cross_entropy(scale * f, labels)
-    return loss, model.backward(d_cluster=scale * d_logits)
+    return loss, model.backward(scale * d_logits)
 
 
 def pseudo_labels_batch(
@@ -48,7 +48,7 @@ def pseudo_labels_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(class_ids, confidences) over a batch; no gradients are retained."""
     aug = apply_batch(g_spec, u, rng)
-    f, _ = model.forward(flatten(aug))
+    f = model.forward(flatten(aug))
     probs = class_distribution(f, temperature)
     return probs.argmax(axis=1), probs.max(axis=1)
 
@@ -181,18 +181,19 @@ def run_epoch(
     conf_total = 0
     unl_total = 0
     steps = 0
-    for start in range(0, order.shape[0], chunk_size):
-        chunk = order[start : start + chunk_size]
-        lab = cycler.take(cfg.batch_size)
-        stats = ssl_step(
-            model, features[lab], labels[lab], features[chunk],
-            weak_spec, strong_spec, cfg, opt, ema, rng,
-        )
-        losses_s.append(stats.loss_s)
-        losses_u.append(stats.loss_u)
-        conf_total += stats.n_confident
-        unl_total += stats.n_unlabeled
-        steps += 1
+    with model.epoch():
+        for start in range(0, order.shape[0], chunk_size):
+            chunk = order[start : start + chunk_size]
+            lab = cycler.take(cfg.batch_size)
+            stats = ssl_step(
+                model, features[lab], labels[lab], features[chunk],
+                weak_spec, strong_spec, cfg, opt, ema, rng,
+            )
+            losses_s.append(stats.loss_s)
+            losses_u.append(stats.loss_u)
+            conf_total += stats.n_confident
+            unl_total += stats.n_unlabeled
+            steps += 1
     mask_rate = conf_total / unl_total if unl_total else 0.0
     return SslEpochStats(
         float(np.mean(losses_s)) if losses_s else float("nan"),

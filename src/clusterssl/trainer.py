@@ -85,6 +85,8 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if self.iters < 0 or self.e1 < 0 or self.e2 < 0 or self.warmup_rot_epochs < 0:
             raise ConfigurationError("iteration and epoch counts must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for name in ("lr_ssl", "lr_cluster", "divergence_limit", "logit_temperature"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
@@ -169,7 +171,7 @@ def evaluate(model: Model, features: np.ndarray, labels: np.ndarray) -> tuple[fl
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] == 0:
         raise ValueError("evaluation needs a non-empty test set")
-    f, _ = model.forward(flatten(features))
+    f = model.forward(flatten(features))
     pred = f.argmax(axis=1)
     cls_acc = float((pred == labels).mean())
     clu_acc, perm = clustering_accuracy(pred, labels, model.k)
@@ -201,7 +203,7 @@ def topk_permutation_accuracy(
     labeled_labels = np.asarray(labeled_labels, dtype=np.int64)
     probs = np.zeros((labeled_features.shape[0], kk))
     for q in range(4):
-        f, _ = model.forward(flatten(rotate90_batch(labeled_features, q)))
+        f = model.forward(flatten(rotate90_batch(labeled_features, q)))
         probs += class_distribution(f, temperature)
     probs /= 4.0
     score = np.zeros((kk, kk))
@@ -211,7 +213,7 @@ def topk_permutation_accuracy(
 
     test_features = np.asarray(test_features, dtype=np.float64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
-    f, _ = model.forward(flatten(test_features))
+    f = model.forward(flatten(test_features))
     pred = f.argmax(axis=1)
     curve = np.empty(len(ranked))
     best = 0.0

@@ -174,8 +174,8 @@ def verify_gradients(n_triples: int = 20, seed: int = 0, h: float = 1e-5) -> Che
             w = rng.normal(size=(m, k))
 
             def loss_fn(mod, x=x, w=w):
-                f, _ = mod.forward(x)
-                grads = mod.backward(d_cluster=w)
+                f = mod.forward(x)
+                grads = mod.backward(w)
                 return float((f * w).sum()), grads
         err = _fd_max_rel_err(model, loss_fn, h)
         worst = max(worst, err)

@@ -33,7 +33,7 @@ def _ema_model(rec):
 
 
 def _predictions(rec, ds, split):
-    f, _ = _ema_model(rec).forward(flatten(ds.features[split.test_idx]))
+    f = _ema_model(rec).forward(flatten(ds.features[split.test_idx]))
     return f.argmax(axis=1)
 
 

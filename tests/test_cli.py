@@ -82,6 +82,22 @@ def test_negative_threads_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("block", ["dataset", "split", "train"])
+def test_negative_config_seed_is_exit_2_on_dry_run(tmp_path, capsys, block):
+    cfg = json.loads(json.dumps(GMM_TRAIN))
+    cfg[block]["seed"] = -1
+    assert main(["train", "--config", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_exit_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, GMM_TRAIN)
+    assert main(["train", "--config", path, "--dry-run", "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+
+
 def test_threads_pin_env(tmp_path, capsys, monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
@@ -156,6 +172,13 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
     # vector data cannot drive the rotation-vote permutation curve
     assert main(["eval", "--config", path, "--checkpoint", ck, "--topk", "2"]) == 2
     capsys.readouterr()
+
+    # a negative --topk or --seed is refused before any work is done
+    assert main(["eval", "--config", path, "--checkpoint", ck, "--topk", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert "--topk must be >= 0" in err and "accuracy" not in out
+    assert main(["eval", "--config", path, "--checkpoint", ck, "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_passes_and_corrupt_hook_fires(capsys):

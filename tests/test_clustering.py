@@ -13,9 +13,10 @@ from clusterssl.clustering import (
     confident_pseudo,
     init_target_pool,
     one_hot,
+    rotation_epoch,
     rotnet_pass,
 )
-from clusterssl.errors import ConfigurationError
+from clusterssl.errors import ConfigurationError, DivergenceError
 from clusterssl.network import Model
 from clusterssl.optim import EmaState, Sgd
 from clusterssl.trainer import TrainConfig
@@ -104,7 +105,7 @@ def test_assign_rebind_conserves_targets(rng):
     feats = rng.normal(size=(24, 16))
     batch = np.arange(12)
     plan = pool.batch_plan(batch)
-    f, _ = model.forward(feats[batch])
+    f = model.forward(feats[batch])
     before = pool.img_class[batch].copy()
     changed = assign_batch(pool, plan, f)  # rebinds the pool in place
     pool.check_invariants()
@@ -161,7 +162,7 @@ def test_clustering_loss_value_and_empty(rng):
     targets = one_hot(np.array([0, 1, 2]), 4)
     loss, grads = clustering_loss(model, feats, targets, IDENTITY_VEC, r=1,
                                   rng=np.random.default_rng(0))
-    f, _ = model.forward(feats)
+    f = model.forward(feats)
     want = float(((f - targets) ** 2).sum()) / 3.0
     assert loss == pytest.approx(want, rel=1e-12)
     assert grads.shape == (model.n_params,)
@@ -189,6 +190,20 @@ def test_rotnet_pass_requires_square_images(rng):
     assert np.isfinite(loss) and grads.shape[0] > 0
 
 
+def test_rotation_epoch_raises_on_an_overflowed_trunk(rng):
+    # a rotation-only forward computes no cluster norms; its logits are checked instead
+    model = Model(64, (8, 8), 4, rng=rng)
+    model.set_params(model.params * 1e160)  # the second trunk layer overflows to inf
+    before = model.get_params()
+    cfg = TrainConfig(batch_size=4)
+    opt = Sgd(model.n_params, cfg.momentum)
+    ema = EmaState(model.get_params(), 0.99)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="rotation"):
+        rotation_epoch(model, rng.normal(size=(8, 8, 8)), cfg, opt, ema, rng)
+    assert np.array_equal(model.params.view(np.uint64), before.view(np.uint64))
+    assert model._held is None  # the epoch scope is left on the error too
+
+
 def test_clustering_epoch_runs_and_counts(rng):
     n = 60
     pool = make_pool(n=n, k=4)
@@ -214,7 +229,7 @@ def test_frozen_model_reaches_fixed_point(rng):
     counts = []
     for _ in range(4):
         order = rng.permutation(n)
-        f, _ = model.forward(feats[order])
+        f = model.forward(feats[order])
         counts.append(assign_batch(pool, pool.batch_plan(order), f))
         pool.check_invariants()
     assert counts[-1] == 0  # assignments stabilize once the model stops moving

@@ -63,6 +63,22 @@ def test_generator_validation():
         ExperimentConfig.from_dict({"dataset": {"generator": "shapes", "d": 16}})
 
 
+@pytest.mark.parametrize("block, payload", [
+    ("dataset", {"dataset": dict(GMM, seed=-1)}),
+    ("split", {"dataset": GMM, "split": {"seed": -2}}),
+])
+def test_negative_data_seed_is_rejected(block, payload):
+    with pytest.raises(ConfigurationError, match=f"{block}.seed must be >= 0"):
+        ExperimentConfig.from_dict(payload)
+
+
+def test_negative_train_seed_is_rejected():
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        ExperimentConfig.from_dict({"dataset": GMM, "train": {"seed": -3}})
+
+
 def test_version_mismatch():
     with pytest.raises(ConfigurationError, match="version"):
         ExperimentConfig.from_dict({"dataset": GMM, "version": 99})

@@ -42,7 +42,7 @@ def test_pseudo_labels_match_distribution(rng):
     model = Model(16, (8,), 4, rng=rng)
     u = rng.normal(size=(12, 16))
     classes, conf = pseudo_labels_batch(model, u, IDENTITY, 0.1, np.random.default_rng(0))
-    f, _ = model.forward(u)
+    f = model.forward(u)
     p = class_distribution(f, 0.1)
     assert np.array_equal(classes, p.argmax(axis=1))
     np.testing.assert_allclose(conf, p.max(axis=1), rtol=1e-15)

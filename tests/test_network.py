@@ -1,3 +1,6 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,15 +43,17 @@ def bits(a):
 
 def test_leaky_relu_values():
     x = np.array([-2.0, 0.0, 3.0])
-    assert np.array_equal(leaky_relu(x, 0.1), [-0.2, 0.0, 3.0])
-    assert np.array_equal(leaky_relu_factor(leaky_relu(x, 0.1), 0.1), [0.1, 0.1, 1.0])
+    scratch = np.empty(3)
+    h = leaky_relu(x, 0.1, scratch)
+    assert h is x and np.array_equal(x, [-0.2, 0.0, 3.0])  # in place; scratch holds 0.1 * x
+    assert np.array_equal(leaky_relu_factor(h, 0.1), [0.1, 0.1, 1.0])
 
 
 @pytest.mark.parametrize("slope", SLOPES)
 def test_leaky_relu_matches_the_where_form_bit_for_bit(slope):
     z = np.concatenate([SPECIALS, np.random.default_rng(0).normal(size=200)])
     with np.errstate(invalid="ignore"):
-        got, want = leaky_relu(z, slope), where_leaky_relu(z, slope)
+        got, want = leaky_relu(z.copy(), slope), where_leaky_relu(z, slope)
     differs = bits(got) != bits(want)
     if slope == 0.0:
         # 0 * inf is NaN, which maximum propagates where the where form keeps
@@ -63,7 +68,7 @@ def test_slope_factor_matches_the_where_form_bit_for_bit(slope):
     # backward turns each activation h = leaky_relu(z) into the derivative at z
     z = np.concatenate([SPECIALS, np.random.default_rng(0).normal(size=200)])
     with np.errstate(invalid="ignore"):
-        h = leaky_relu(z, slope)
+        h = leaky_relu(z.copy(), slope)
     assert leaky_relu_factor(h, slope) is h
     differs = bits(h) != bits(where_leaky_relu_grad(z, slope))
     if slope == 0.0:  # the +inf that leaky_relu maps to NaN, as above
@@ -160,8 +165,8 @@ def test_layers_are_views_in_layout_order(rng):
         assert np.shares_memory(layer.weight, model.params)
     model.set_params(theta + 1.0)
     assert np.array_equal(model.rot_head.bias, views[-1][1] + 1.0)
-    model.forward(rng.normal(size=(2, 6)))
-    grads = model.backward(d_rot=np.ones((2, 4)))
+    model.forward(rng.normal(size=(2, 6)), head="rotation")
+    grads = model.backward(np.ones((2, 4)))
     *_, (d_cluster_w, d_cluster_b), (_, d_rot_b) = layer_views(grads, shapes)
     assert not d_cluster_w.any() and not d_cluster_b.any()
     assert np.allclose(d_rot_b, 2.0)
@@ -177,9 +182,12 @@ def test_same_generator_same_initial_params():
 
 def test_model_forward_shapes(rng):
     model = Model(12, (16, 8), 5, rng=rng)
-    f, r = model.forward(rng.normal(size=(7, 12)))
+    x = rng.normal(size=(7, 12))
+    f, r = model.forward(x), model.forward(x, head="rotation")
     assert f.shape == (7, 5) and r.shape == (7, 4)
     assert np.allclose(np.linalg.norm(f, axis=1), 1.0)
+    with pytest.raises(ValueError, match="head"):
+        model.forward(x, head="both")
 
 
 def test_model_rejects_bad_input_shape(rng):
@@ -191,7 +199,7 @@ def test_model_rejects_bad_input_shape(rng):
 def test_backward_before_forward_raises(rng):
     model = Model(4, (8,), 3, rng=rng)
     with pytest.raises(RuntimeError):
-        model.backward(d_cluster=np.zeros((1, 3)))
+        model.backward(np.zeros((1, 3)))
 
 
 def test_params_round_trip_and_copy(rng):
@@ -238,33 +246,33 @@ def test_rebuilding_a_model_draws_nothing(tmp_path, rng, monkeypatch):
 def test_full_model_gradient_matches_fd(rng):
     model = Model(5, (8,), 3, rng=rng)
     x = rng.normal(size=(4, 5))
-    w = rng.normal(size=(4, 3))
-    wr = rng.normal(size=(4, 4))
-
-    def loss(mod):
-        f, r = mod.forward(x)
-        return float((f * w).sum() + 0.5 * (r * wr).sum())
-
-    model.forward(x)
-    grads = model.backward(d_cluster=w, d_rot=0.5 * wr)
     theta = model.get_params()
     h = 1e-6
-    for j in range(0, theta.shape[0], 7):
-        tp = theta.copy(); tp[j] += h
-        tm = theta.copy(); tm[j] -= h
-        model.set_params(tp); lp = loss(model)
-        model.set_params(tm); lm = loss(model)
-        fd = (lp - lm) / (2 * h)
-        assert abs(fd - grads[j]) < 1e-6
-    model.set_params(theta)
+    for head, width in (("cluster", 3), ("rotation", 4)):
+        w = rng.normal(size=(4, width))
+
+        def loss(mod):
+            return float((mod.forward(x, head=head) * w).sum())
+
+        model.forward(x, head=head)
+        grads = model.backward(w).copy()
+        for j in range(0, theta.shape[0], 7):
+            tp = theta.copy(); tp[j] += h
+            tm = theta.copy(); tm[j] -= h
+            model.set_params(tp); lp = loss(model)
+            model.set_params(tm); lm = loss(model)
+            fd = (lp - lm) / (2 * h)
+            assert abs(fd - grads[j]) < 1e-6
+        model.set_params(theta)
 
 
 def test_forward_detects_activation_overflow(rng):
     model = Model(4, (8,), 3, rng=rng)
     model.set_params(model.get_params() * 1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError):
-            model.forward(rng.normal(size=(2, 4)))
+    for head in ("cluster", "rotation"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=head):
+                model.forward(rng.normal(size=(2, 4)), head=head)
 
 
 def reference_pass(model, x, d_cluster, d_rot):
@@ -302,42 +310,133 @@ def reference_pass(model, x, d_cluster, d_rot):
     return cluster_out, rot_logits, grads
 
 
+def check_head_against_reference(model, x, head, rng):
+    """One forward and backward through ``head``, compared bit for bit with ``reference_pass``."""
+    d_out = rng.normal(size=(x.shape[0], model.k if head == "cluster" else Model.N_ROTATIONS))
+    d_out[2 % len(d_out)] = -0.0  # signed zero upstream gradients reach the zero cases
+    d_out[3 % len(d_out)] = 0.0
+    want_f, want_r, want_g = reference_pass(
+        model, x, *((d_out, None) if head == "cluster" else (None, d_out))
+    )
+    got = model.forward(x, head=head)
+    assert np.array_equal(bits(got), bits(want_f if head == "cluster" else want_r))
+    assert np.array_equal(bits(model.backward(d_out)), bits(want_g))
+
+
 @pytest.mark.parametrize("hidden", [(), (9,), (9, 6)], ids=["0hidden", "1hidden", "2hidden"])
-@pytest.mark.parametrize("heads", ["cluster", "rot", "both"])
-def test_forward_backward_match_the_former_formulas_bit_for_bit(hidden, heads):
+@pytest.mark.parametrize("head", ["cluster", pytest.param("rotation", id="rot")])
+def test_forward_backward_match_the_former_formulas_bit_for_bit(hidden, head):
     for seed, slope in enumerate(SLOPES):
         rng = np.random.default_rng(seed)
         model = Model(5, hidden, 3, leaky_slope=slope, rng=rng)
         model.set_params(model.params + rng.normal(scale=0.1, size=model.n_params))
         x = rng.normal(size=(11, 5))
-        x[0] = 0.0  # rows of zeros and signed zero upstream gradients reach the zero cases
+        x[0] = 0.0  # rows of zeros reach the zero cases
         x[1] = -0.0
-        d_cluster = rng.normal(size=(11, 3)) if heads != "rot" else None
-        d_rot = rng.normal(size=(11, 4)) if heads != "cluster" else None
-        for d in (d_cluster, d_rot):
-            if d is not None:
-                d[2] = -0.0
-                d[3] = 0.0
-        want_f, want_r, want_g = reference_pass(model, x, d_cluster, d_rot)
-        got_f, got_r = model.forward(x)
-        got_g = model.backward(d_cluster=d_cluster, d_rot=d_rot)
-        assert np.array_equal(bits(got_f), bits(want_f))
-        assert np.array_equal(bits(got_r), bits(want_r))
-        assert np.array_equal(bits(got_g), bits(want_g))
+        check_head_against_reference(model, x, head, rng)
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_epoch_buffers_match_the_former_formulas_bit_for_bit(slope):
+    # the gmm_k4 shape, with batches above, below and back at the largest
+    # seen: a stale or too-short buffer slice would change some byte
+    rng = np.random.default_rng(1)
+    model = Model(16, (128, 128), 4, leaky_slope=slope, rng=rng)
+    with model.epoch():
+        for rows in (448, 435, 64, 448, 1):
+            for head in ("cluster", "rotation"):
+                x = rng.normal(size=(rows, 16))
+                x[0] = -0.0
+                check_head_against_reference(model, x, head, rng)
+
+
+def held_buffers(model):
+    return [buf for buf in model._held or [] if buf.size]
 
 
 def test_forward_returns_fresh_arrays_and_backward_consumes_the_cache(rng):
-    model = Model(5, (7,), 3, rng=rng)
+    model = Model(5, (7, 6), 3, rng=rng)
     x = rng.normal(size=(4, 5))
-    f1, r1 = model.forward(x)
-    f1_bytes, r1_bytes = f1.copy(), r1.copy()
-    f2, r2 = model.forward(2.0 * x)
-    assert not np.shares_memory(f1, f2) and not np.shares_memory(r1, r2)
-    assert np.array_equal(f1, f1_bytes) and np.array_equal(r1, r1_bytes)
-    grads = model.backward(d_cluster=np.ones((4, 3)))
-    assert not np.shares_memory(grads, model.params)
+    with model.epoch():
+        f1 = model.forward(x)
+        r1 = model.forward(x, head="rotation")
+        f1_bytes, r1_bytes = f1.copy(), r1.copy()
+        f2 = model.forward(2.0 * x)
+        grads = model.backward(np.ones((4, 3)))
+        model.forward(3.0 * x, head="rotation")
+        model.backward(np.ones((4, 4)))
+        assert np.array_equal(f1, f1_bytes) and np.array_equal(r1, r1_bytes)
+        assert len(held_buffers(model)) == 3  # two activations and one scratch buffer
+        for out in (f1, r1, f2):
+            assert not any(np.shares_memory(out, buf) for buf in held_buffers(model))
+        assert not np.shares_memory(grads, model.params)
+        with pytest.raises(RuntimeError):
+            model.backward(np.ones((4, 4)))
+        model.forward(x)
+    # leaving the scope drops the buffers and the cache of the last forward
+    assert model._held is None
     with pytest.raises(RuntimeError):
-        model.backward(d_cluster=np.ones((4, 3)))
+        model.backward(np.ones((4, 3)))
+
+
+def arrays_on(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through attributes, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [a for item in items for a in arrays_on(item, seen)]
+
+
+def test_forward_outside_a_scope_holds_no_activation(rng):
+    model = Model(16, (128, 128), 4, rng=rng)
+    x = rng.normal(size=(448, 16))
+
+    def activation_sized(obj):
+        return [a.shape for a in arrays_on(obj) if a.size >= 448 * 128]
+
+    for head in ("cluster", "rotation"):
+        model.forward(x, head=head)
+        # only the cache that backward consumes holds activations, as without buffers
+        assert model._held is None
+        assert not activation_sized([v for name, v in vars(model).items() if name != "_cache"])
+        model.backward(np.ones((448, 4)))
+        assert not activation_sized(model)
+
+
+def ssl_step_peak(model, x_weak, x_strong, x_lab, scoped):
+    """Traced peak bytes of three SSL-step-shaped passes."""
+    tracemalloc.start()
+    try:
+        with model.epoch() if scoped else contextlib.nullcontext():
+            for _ in range(3):
+                model.forward(x_weak)
+                for x in (x_strong, x_lab):
+                    model.forward(x)
+                    model.backward(np.ones((x.shape[0], model.k)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("in_dim, hidden, k", [(16, (128, 128), 4), (128, (512, 512), 10)],
+                         ids=["gmm_k4", "gmm_wide_k10"])
+def test_epoch_scope_peak_memory_is_no_higher(rng, in_dim, hidden, k):
+    # pseudo-label forward of mu*b = 448 rows, then the strong (all confident)
+    # and labeled (b = 64) forward and backward passes
+    model = Model(in_dim, hidden, k, rng=rng)
+    x_weak, x_strong, x_lab = (rng.normal(size=(rows, in_dim)) for rows in (448, 448, 64))
+    outside = ssl_step_peak(model, x_weak, x_strong, x_lab, scoped=False)
+    inside = ssl_step_peak(model, x_weak, x_strong, x_lab, scoped=True)
+    assert inside <= outside, (inside, outside)
 
 
 @pytest.mark.parametrize("slope", [1.0, 2.0, -0.01, float("nan"), float("inf")])
