@@ -16,14 +16,23 @@ are the reference behavior. Ops with zero magnitude are skipped outright
 so an all-zero AugmentSpec is an exact identity. Every draw comes from
 the generator the caller hands in, so outputs are byte-reproducible.
 
-Image batches run in two passes: draws per image in pipeline order; pixel
-work per batch. The first pass makes each image's draws in turn, one call
-at a time, skipping the zero-magnitude ops; no draw depends on a pixel.
-The second applies each op once to all images that drew it: translate is
-one gather of mirrored indices, flips reverse an axis, jitter and noise
-add the stacked drawn fields, cutout is a mask, and the strong pipeline's
-first op slot runs before its second. Output and generator state are
-those of running the pipeline on one image at a time.
+Image batches run in two passes. `draw_images` first makes one sized draw
+per op for all n images that use it; an op of zero magnitude draws
+nothing, and no draw depends on a pixel. The draw order is:
+
+* weak and cluster: the jitter field (n, *shape) (cluster only), the
+  flips (n,), then the shifts (n, 2) as (dy, dx).
+* strong: the op choices (n, 2), unless every op has zero magnitude; then
+  for slot 0 and then slot 1, each op in `_STRONG_OPS` order draws for the
+  m images that chose it in that slot: translate its shifts (m, 2),
+  jitter its field (m, *shape), contrast its factors (m,), noise its field
+  (m, *shape); then the cutout centres (n, 2).
+
+`apply_batch` then applies each op once to all the images that drew it:
+translate is one gather of mirrored indices, flips reverse an axis, jitter
+and noise add the drawn fields, contrast scales each image about its mean
+as it stands, cutout is a mask, and the strong pipeline's slot 0 runs
+before its slot 1.
 """
 
 from __future__ import annotations
@@ -101,84 +110,82 @@ def _translate(xs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return xs[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]
 
 
-def _draw_shift(my: int, mx: int, rng: np.random.Generator) -> tuple[int, int]:
-    # two scalar draws: one sized draw would consume the stream differently
-    dy = int(rng.integers(-my, my + 1)) if my else 0
-    dx = int(rng.integers(-mx, mx + 1)) if mx else 0
-    return dy, dx
+@dataclass(frozen=True)
+class ImageDraws:
+    """Everything one image batch drew; None (or no group) where nothing was drawn."""
+
+    field: np.ndarray | None = None  # cluster jitter, (n, *shape)
+    flips: np.ndarray | None = None  # (n,) bool
+    shifts: np.ndarray | None = None  # (n, 2) int (dy, dx)
+    ops: np.ndarray | None = None  # strong op indices into _STRONG_OPS, (n, 2)
+    groups: tuple = ()  # strong (op, image indices, values), in draw and apply order
+    centres: np.ndarray | None = None  # strong cutout centres, (n, 2)
 
 
-def _crop_mean(x: np.ndarray) -> float:
-    # x.mean() as numpy sums a crop of a padded image: rows not contiguous,
-    # which above its 8192-item reduction buffer changes the summation order
-    buf = np.empty((x.shape[0], x.shape[1] + 1) + x.shape[2:])
-    buf[:, :-1] = x
-    return buf[:, :-1].mean()
+def _shift_bound(spec: AugmentSpec) -> np.ndarray:
+    """Largest shift (dy, dx) a translate may draw."""
+    return np.array([round(d * spec.max_translate_frac) for d in spec.data_shape[:2]])
 
 
-def _flip_translate_batch(spec: AugmentSpec, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Weak and cluster pipelines: [jitter ->] flip -> translate."""
-    n = xs.shape[0]
-    my, mx = (round(d * spec.max_translate_frac) for d in spec.data_shape[:2])
+def _draw_strong(spec: AugmentSpec, n: int, rng: np.random.Generator) -> ImageDraws:
+    shape, s, sigma = spec.data_shape, spec.jitter_strength, spec.noise_sigma
+    bound = _shift_bound(spec)
+    active = (bound.any(), s, s, sigma)  # in _STRONG_OPS order
+    ops, groups = None, []
+    if any(active):
+        ops = rng.integers(0, len(_STRONG_OPS), size=(n, _N_STRONG_DRAWS))
+        for slot in range(_N_STRONG_DRAWS):
+            for op_idx, op in enumerate(_STRONG_OPS):
+                idx = np.flatnonzero(ops[:, slot] == op_idx)
+                if not (active[op_idx] and idx.size):
+                    continue
+                if op == "translate":
+                    values = rng.integers(-bound, bound + 1, size=(idx.size, 2))
+                elif op == "jitter":
+                    values = rng.uniform(-s, s, size=(idx.size,) + shape)
+                elif op == "contrast":
+                    values = 1.0 + rng.uniform(-s, s, size=idx.size)
+                else:
+                    values = rng.normal(0.0, sigma, size=(idx.size,) + shape)
+                groups.append((op, idx, values))
+    centres = rng.integers(0, shape[:2], size=(n, 2)) if spec.cutout_frac else None
+    return ImageDraws(ops=ops, groups=tuple(groups), centres=centres)
+
+
+def draw_images(spec: AugmentSpec, n: int, rng: np.random.Generator) -> ImageDraws:
+    """The draws of an image pipeline for n images, in the module docstring's order."""
+    if spec.kind == "strong":
+        return _draw_strong(spec, n, rng)
     s = spec.jitter_strength if spec.kind == "cluster" else 0.0
-    fields, flips, shifts = [], np.zeros(n, dtype=bool), np.zeros((n, 2), dtype=np.int64)
-    for i in range(n):
-        if s:
-            fields.append(rng.uniform(-s, s, size=spec.data_shape))
-        flips[i] = spec.flip_prob and rng.random() < spec.flip_prob
-        if my or mx:
-            shifts[i] = _draw_shift(my, mx, rng)
-    out = xs + np.stack(fields) if fields else xs.copy()
-    out[flips] = out[flips, :, ::-1]
-    return _translate(out, shifts) if my or mx else out
+    bound = _shift_bound(spec)
+    return ImageDraws(
+        field=rng.uniform(-s, s, size=(n,) + spec.data_shape) if s else None,
+        flips=rng.random(n) < spec.flip_prob if spec.flip_prob else None,
+        shifts=rng.integers(-bound, bound + 1, size=(n, 2)) if bound.any() else None,
+    )
 
 
-def _strong_batch(spec: AugmentSpec, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Strong pipeline: two ops drawn per image -> cutout."""
-    n, h, w = xs.shape[:3]
-    my, mx = round(h * spec.max_translate_frac), round(w * spec.max_translate_frac)
-    s, sigma = spec.jitter_strength, spec.noise_sigma
-    # (slot, op) -> the images that drew it, and their draws; slot 0 applies first
-    drawn = {(slot, op): ([], []) for slot in range(_N_STRONG_DRAWS) for op in _STRONG_OPS}
-    centres = np.zeros((n, 2), dtype=np.int64)
-    for i in range(n):
-        for slot, op_idx in enumerate(rng.integers(0, len(_STRONG_OPS), size=_N_STRONG_DRAWS)):
-            op = _STRONG_OPS[op_idx]
-            if op == "translate":
-                draw = _draw_shift(my, mx, rng) if my or mx else None
-            elif op == "jitter":
-                draw = rng.uniform(-s, s, size=spec.data_shape) if s else None
-            elif op == "contrast":
-                draw = 1.0 + float(rng.uniform(-s, s)) if s else None
-            else:
-                draw = rng.normal(0.0, sigma, size=spec.data_shape) if sigma else None
-            if draw is not None:
-                drawn[slot, op][0].append(i)
-                drawn[slot, op][1].append(draw)
-        if spec.cutout_frac:
-            centres[i] = int(rng.integers(0, h)), int(rng.integers(0, w))
-
-    out = xs.copy()
-    cropped = np.zeros(n, dtype=bool)  # one image at a time, these would be padded crops
-    per_image = (-1,) + (1,) * (xs.ndim - 1)
-    for (slot, op), (idx, draws) in drawn.items():
-        if not idx:
-            continue
-        idx = np.array(idx)
+def _apply_images(spec: AugmentSpec, xs: np.ndarray, d: ImageDraws) -> np.ndarray:
+    out = xs + d.field if d.field is not None else xs.copy()
+    if d.flips is not None:
+        out[d.flips] = out[d.flips, :, ::-1]
+    if d.shifts is not None:
+        out = _translate(out, d.shifts)
+    for op, idx, values in d.groups:
+        sub = out[idx]
         if op == "translate":
-            shifts = np.array(draws)
-            out[idx] = _translate(out[idx], shifts)
-            cropped[idx] = shifts.any(axis=1)
+            sub = _translate(sub, values)
         elif op == "contrast":
-            mean = np.array([_crop_mean(out[i]) if cropped[i] else out[i].mean() for i in idx])
-            mean = mean.reshape(per_image)
-            out[idx] = mean + (out[idx] - mean) * np.array(draws).reshape(per_image)
+            mean = sub.mean(axis=tuple(range(1, sub.ndim)), keepdims=True)
+            sub = mean + (sub - mean) * values.reshape(mean.shape)
         else:
-            out[idx] += np.stack(draws)
-    if spec.cutout_frac:
-        side = np.array([max(1, round(d * np.sqrt(spec.cutout_frac))) for d in (h, w)])
-        lo = np.maximum(0, centres - side // 2)
-        hi = np.minimum((h, w), centres - side // 2 + side)
+            sub += values
+        out[idx] = sub
+    if d.centres is not None:
+        h, w = xs.shape[1:3]
+        side = np.array([max(1, round(dim * np.sqrt(spec.cutout_frac))) for dim in (h, w)])
+        lo = np.maximum(0, d.centres - side // 2)
+        hi = np.minimum((h, w), d.centres - side // 2 + side)
         in_y = (lo[:, :1] <= np.arange(h)) & (np.arange(h) < hi[:, :1])
         in_x = (lo[:, 1:] <= np.arange(w)) & (np.arange(w) < hi[:, 1:])
         out[in_y[:, :, None] & in_x[:, None, :]] = 0.0
@@ -208,5 +215,4 @@ def apply_batch(spec: AugmentSpec, xs, rng: np.random.Generator) -> np.ndarray:
         # vector pipelines vectorize over the whole batch
         out = _apply_vector(spec, xs, rng)
         return out if out is not xs else xs.copy()
-    pipeline = _strong_batch if spec.kind == "strong" else _flip_translate_batch
-    return pipeline(spec, xs, rng)
+    return _apply_images(spec, xs, draw_images(spec, len(xs), rng))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_type
 from .trainer import TrainConfig
 
 CONFIG_VERSION = 1
@@ -78,6 +78,9 @@ class ExperimentConfig:
     version: int = CONFIG_VERSION
 
     def __post_init__(self) -> None:
+        check_type("version", self.version, "int")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigurationError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.version != CONFIG_VERSION:
             raise ConfigurationError(
                 f"config version {self.version} not supported (want {CONFIG_VERSION})"
@@ -115,10 +118,18 @@ class ExperimentConfig:
         )
 
 
+def _check_types(block: dict, defaults: dict, where: str) -> None:
+    """Each value of block has the type of its default: int or float."""
+    for key, default in defaults.items():
+        check_type(f"{where}.{key}", block[key], type(default).__name__)
+
+
 def _normalize_dataset(block: dict) -> dict:
     block = dict(block)
     if "path" in block:
         _check_keys(block, {"path"}, "dataset block")
+        if not isinstance(block["path"], str):
+            raise ConfigurationError(f"dataset.path must be a string, got {block['path']!r}")
         return block
     gen = block.pop("generator", None)
     if gen is None:
@@ -132,6 +143,7 @@ def _normalize_dataset(block: dict) -> dict:
     merged = {"generator": gen}
     merged.update(defaults)
     merged.update(block)
+    _check_types(merged, defaults, "dataset")
     return merged
 
 
@@ -140,6 +152,7 @@ def _normalize_split(block: dict) -> dict:
     _check_keys(block, set(_SPLIT_DEFAULTS), "split block")
     merged = dict(_SPLIT_DEFAULTS)
     merged.update(block)
+    _check_types(merged, _SPLIT_DEFAULTS, "split")
     if merged["labels_per_class"] < 1:
         raise ConfigurationError("split.labels_per_class must be >= 1")
     return merged

@@ -17,7 +17,7 @@ import logging
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,19 +33,20 @@ from .clustering import (
     rotation_epoch,
 )
 from .data import Dataset, DatasetSplit
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, check_type
 from .fixmatch import class_distribution, run_epoch
 from .network import Model
 from .optim import EmaState, Sgd
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _CHECKPOINT_KEYS = (
     "version", "iteration", "arch", "params", "ema_shadow", "ema_decay",
     "velocity", "pool", "rng_state", "config", "rows",
 )
+_ARCH_KEYS = ("in_dim", "hidden_sizes", "k", "leaky_slope")
 
 CSV_COLUMNS = (
     "iter", "phase", "epoch", "L_s", "L_u", "L_c", "L_r",
@@ -82,6 +83,13 @@ class TrainConfig:
     divergence_limit: float = 1e6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type in ("int", "float", "bool"):
+                check_type(f"train.{f.name}", getattr(self, f.name), f.type)
+        if not isinstance(self.hidden_sizes, (list, tuple)):
+            raise ConfigurationError(f"train.hidden_sizes must be a list, got {self.hidden_sizes!r}")
+        for i, h in enumerate(self.hidden_sizes):
+            check_type(f"train.hidden_sizes[{i}]", h, "int")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if self.iters < 0 or self.e1 < 0 or self.e2 < 0 or self.warmup_rot_epochs < 0:
             raise ConfigurationError("iteration and epoch counts must be >= 0")
@@ -117,9 +125,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "hidden_sizes" in d:
-            d["hidden_sizes"] = tuple(d["hidden_sizes"])
         return cls(**d)
 
 
@@ -254,12 +259,15 @@ def _encode(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode(text: str, size: int | None = None) -> np.ndarray:
-    raw = base64.b64decode(text.encode("ascii"))
-    arr = np.frombuffer(raw, dtype="<f8")
-    if size is not None and arr.shape != (size,):
-        raise ValueError(f"checkpoint array has {arr.shape[0]} values, expected {size}")
-    return arr.copy()
+def _decode(path: str, state: dict, key: str, size: int | None = None) -> np.ndarray:
+    """The float64 values base64-encoded in state[key]; ValueError naming path and key if damaged."""
+    try:
+        values = np.frombuffer(base64.b64decode(state[key], validate=True), dtype="<f8")
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"checkpoint {path}: {key} is not base64 float64 values ({exc})") from None
+    if size is not None and values.size != size:
+        raise ValueError(f"checkpoint {path}: {key} holds {values.size} values, expected {size}")
+    return values.copy()
 
 
 def save_checkpoint(
@@ -292,25 +300,39 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> dict:
-    """Parsed checkpoint dict with arrays decoded; refuses unknown versions."""
+    """Parsed checkpoint dict with arrays decoded.
+
+    Any unreadable, damaged or unknown-version checkpoint raises ValueError
+    naming the path and, where one is at fault, the key."""
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"corrupt or truncated checkpoint {path}: {exc}") from None
     if not isinstance(state, dict):
         raise ValueError(f"checkpoint {path} is not a JSON object")
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version {version} not supported (want {CHECKPOINT_VERSION})")
+        raise ValueError(f"checkpoint {path}: version {version} not supported (want {CHECKPOINT_VERSION})")
     missing = [key for key in _CHECKPOINT_KEYS if key not in state]
+    if not missing:
+        arch = state["arch"]
+        if not isinstance(arch, dict):
+            raise ValueError(f"checkpoint {path}: arch is not a JSON object")
+        missing = [f"arch.{key}" for key in _ARCH_KEYS if key not in arch]
     if missing:
         raise ValueError(f"checkpoint {path} lacks key(s): {', '.join(missing)}")
-    model = Model.from_arch(state["arch"], _decode(state["params"]))
-    n = model.n_params
+    params = _decode(path, state, "params")
+    try:
+        model = Model.from_arch(arch, params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: arch and params do not make a model: {exc}") from None
+    del params  # the model holds a copy; free this one before the next two decode
     state["model"] = model
-    state["ema_shadow_arr"] = _decode(state["ema_shadow"], n)
-    state["velocity_arr"] = _decode(state["velocity"], n)
+    state["ema_shadow_arr"] = _decode(path, state, "ema_shadow", model.n_params)
+    state["velocity_arr"] = _decode(path, state, "velocity", model.n_params)
     return state
 
 

@@ -7,6 +7,7 @@ from clusterssl.augment import (
     KINDS,
     AugmentSpec,
     apply_batch,
+    draw_images,
     rotate90_batch,
     spec_for,
 )
@@ -118,43 +119,24 @@ def test_translate_stays_within_bound(rng):
         assert abs(iy - 4) <= 1 and abs(ix - 4) <= 1
 
 
-# Per-image reference for the batched image pipelines: each op applied to
-# one image at a time, translate through np.pad.
+# Per-image reference for the batched image pipelines: the drawn parameters
+# applied to one image at a time, translate through np.pad.
 
-def _ref_translate(x, frac, rng):
-    h, w = x.shape[:2]
-    my, mx = round(h * frac), round(w * frac)
-    if my == 0 and mx == 0:
-        return x
-    dy = int(rng.integers(-my, my + 1)) if my else 0
-    dx = int(rng.integers(-mx, mx + 1)) if mx else 0
-    if dy == 0 and dx == 0:
-        return x
+def _ref_translate(x, shift):
+    dy, dx = (int(v) for v in shift)
     m = max(abs(dy), abs(dx))
+    if m == 0:
+        return x
+    h, w = x.shape[:2]
     padded = np.pad(x, [(m, m), (m, m)] + [(0, 0)] * (x.ndim - 2), mode="reflect")
-    return padded[m + dy : m + dy + h, m + dx : m + dx + w]
+    return np.ascontiguousarray(padded[m + dy : m + dy + h, m + dx : m + dx + w])
 
 
-def _ref_jitter(x, strength, rng):
-    return x + rng.uniform(-strength, strength, size=x.shape) if strength else x
-
-
-def _ref_contrast(x, strength, rng):
-    if strength == 0:
-        return x
-    factor = 1.0 + float(rng.uniform(-strength, strength))
-    mean = x.mean()
-    return mean + (x - mean) * factor
-
-
-def _ref_cutout(x, frac, rng):
-    if frac == 0:
-        return x
+def _ref_cutout(x, frac, centre):
     h, w = x.shape[:2]
     side_y = max(1, round(h * np.sqrt(frac)))
     side_x = max(1, round(w * np.sqrt(frac)))
-    cy = int(rng.integers(0, h))
-    cx = int(rng.integers(0, w))
+    cy, cx = (int(v) for v in centre)
     y0, y1 = max(0, cy - side_y // 2), min(h, cy - side_y // 2 + side_y)
     x0, x1 = max(0, cx - side_x // 2), min(w, cx - side_x // 2 + side_x)
     out = x.copy()
@@ -162,33 +144,35 @@ def _ref_cutout(x, frac, rng):
     return out
 
 
-def reference_image(spec, x, rng):
-    if spec.kind == "strong":  # ops 0-3: translate, jitter, contrast, noise
-        for op_idx in rng.integers(0, 4, size=2):
-            if op_idx == 0:
-                x = _ref_translate(x, spec.max_translate_frac, rng)
-            elif op_idx == 1:
-                x = _ref_jitter(x, spec.jitter_strength, rng)
-            elif op_idx == 2:
-                x = _ref_contrast(x, spec.jitter_strength, rng)
-            elif spec.noise_sigma:
-                x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
-        return _ref_cutout(x, spec.cutout_frac, rng)
-    if spec.kind == "cluster":
-        x = _ref_jitter(x, spec.jitter_strength, rng)
-    if spec.flip_prob and rng.random() < spec.flip_prob:
+def reference_image(spec, x, draws, i):
+    if draws.field is not None:
+        x = x + draws.field[i]
+    if draws.flips is not None and draws.flips[i]:
         x = np.ascontiguousarray(x[:, ::-1])
-    return _ref_translate(x, spec.max_translate_frac, rng)
-
-
-def reference_batch(spec, xs, rng):
-    return np.stack([reference_image(spec, x, rng) for x in xs]) if len(xs) else xs.copy()
+    if draws.shifts is not None:
+        x = _ref_translate(x, draws.shifts[i])
+    for op, idx, values in draws.groups:  # slot 0's groups come before slot 1's
+        hit = np.flatnonzero(idx == i)
+        if not hit.size:
+            continue
+        value = values[hit[0]]
+        if op == "translate":
+            x = _ref_translate(x, value)
+        elif op == "contrast":
+            mean = x.mean()
+            x = mean + (x - mean) * value
+        else:
+            x = x + value
+    if draws.centres is not None:
+        x = _ref_cutout(x, spec.cutout_frac, draws.centres[i])
+    return x
 
 
 def assert_matches_reference(spec, xs, seed):
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = reference_batch(spec, xs, ref_rng)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = apply_batch(spec, xs, rng)
+    draws = draw_images(spec, len(xs), ref_rng)
+    want = np.stack([reference_image(spec, x, draws, i) for i, x in enumerate(xs)]) if len(xs) else xs
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (spec, seed)
     assert rng.bit_generator.state == ref_rng.bit_generator.state, (spec, seed)
@@ -214,9 +198,114 @@ def test_batched_images_match_the_per_image_reference(kind, shape):
 
 
 def test_contrast_after_translate_sums_like_the_reference():
-    # above 8192 pixels the mean of a mirror-padded crop has its own
-    # summation order; a translate in slot 1 leaves such a crop for slot 2
+    # contrast takes the mean of the image as it stands; above 8192 pixels
+    # numpy would sum the strided crop a slot 0 translate leaves in another order
     spec = spec_for("strong", (96, 96))
     data = np.random.default_rng(1).normal(size=(32, 96, 96))
     for seed in range(4):
         assert_matches_reference(spec, data, seed)
+
+
+def documented_draws(spec, n, rng):
+    """The draws of spec's pipeline for n images, one call at a time in the documented
+    order; a strong op group gives its image indices, then its values."""
+    shape, s, sigma = spec.data_shape, spec.jitter_strength, spec.noise_sigma
+    my, mx = (round(d * spec.max_translate_frac) for d in shape[:2])
+    out = []
+    if spec.kind != "strong":
+        if spec.kind == "cluster" and s:
+            out.append(rng.uniform(-s, s, size=(n,) + shape))
+        if spec.flip_prob:
+            out.append(rng.random(size=n) < spec.flip_prob)
+        if my or mx:
+            out.append(rng.integers((-my, -mx), (my + 1, mx + 1), size=(n, 2)))
+        return out
+    active = (my or mx, s, s, sigma)  # translate, jitter, contrast, noise
+    if any(active):
+        ops = rng.integers(0, 4, size=(n, 2))
+        out.append(ops)
+        for slot in (0, 1):
+            for op in range(4):
+                idx = np.flatnonzero(ops[:, slot] == op)
+                m = idx.size
+                if not (m and active[op]):
+                    continue
+                out.append(idx)
+                if op == 0:
+                    out.append(rng.integers((-my, -mx), (my + 1, mx + 1), size=(m, 2)))
+                elif op == 1:
+                    out.append(rng.uniform(-s, s, size=(m,) + shape))
+                elif op == 2:
+                    out.append(1.0 + rng.uniform(-s, s, size=m))
+                else:
+                    out.append(rng.normal(0.0, sigma, size=(m,) + shape))
+    if spec.cutout_frac:
+        out.append(rng.integers(0, shape[:2], size=(n, 2)))
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_draws_follow_the_documented_order(kind):
+    base = spec_for(kind, (6, 10))
+    specs = [base, replace(base, max_translate_frac=1.0)]
+    specs += [replace(base, **{name: 0.0}) for name in MAGNITUDES]
+    for spec in specs:
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            d = draw_images(spec, 40, rng)
+            groups = [a for _, idx, values in d.groups for a in (idx, values)]
+            got = [a for a in (d.field, d.flips, d.shifts, d.ops, *groups, d.centres) if a is not None]
+            want = documented_draws(spec, 40, ref_rng)
+            assert len(got) == len(want), (spec, seed)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (spec, seed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (spec, seed)
+
+
+# The per-batch draws have the distributions the per-image pipeline had.
+N_IMAGES = 10_000
+
+
+def test_flip_rate_is_flip_prob():
+    for p in (0.5, 0.2):
+        flips = draw_images(spec_for("weak", IMG, flip_prob=p), N_IMAGES, np.random.default_rng(0)).flips
+        assert abs(flips.mean() - p) < 0.02
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_shift_within_the_bound_occurs(kind):
+    spec = spec_for(kind, (8, 12), max_translate_frac=0.25)  # bound (2, 3)
+    d = draw_images(spec, N_IMAGES, np.random.default_rng(1))
+    shifts = d.shifts if kind != "strong" else np.concatenate(
+        [values for op, _, values in d.groups if op == "translate"])
+    assert len(shifts) > N_IMAGES / 5
+    assert set(shifts[:, 0].tolist()) == set(range(-2, 3))
+    assert set(shifts[:, 1].tolist()) == set(range(-3, 4))
+
+
+def test_each_strong_op_is_chosen_a_quarter_of_the_time():
+    ops = draw_images(spec_for("strong", IMG), N_IMAGES, np.random.default_rng(2)).ops
+    assert ops.shape == (N_IMAGES, 2)
+    for slot in range(2):
+        rates = np.bincount(ops[:, slot], minlength=4) / N_IMAGES
+        assert np.all(np.abs(rates - 0.25) < 0.02), rates
+
+
+def test_contrast_factors_lie_within_the_strength():
+    s = 0.2
+    d = draw_images(spec_for("strong", IMG, jitter_strength=s), N_IMAGES, np.random.default_rng(3))
+    factors = np.concatenate([values for op, _, values in d.groups if op == "contrast"])
+    assert len(factors) > N_IMAGES / 5
+    assert factors.min() >= 1 - s and factors.max() <= 1 + s
+    assert factors.min() < 1 - 0.95 * s and factors.max() > 1 + 0.95 * s
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_all_zero_image_spec_is_a_copy_and_draws_nothing(kind):
+    spec = spec_for(kind, IMG, **{name: 0.0 for name in MAGNITUDES})
+    xs = np.random.default_rng(4).normal(size=(N_IMAGES,) + IMG)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    out = apply_batch(spec, xs, rng)
+    assert np.array_equal(out, xs) and out is not xs
+    assert rng.bit_generator.state == before

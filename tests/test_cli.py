@@ -76,6 +76,17 @@ def test_out_of_range_train_value_is_exit_2_on_dry_run(tmp_path, capsys, field, 
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, field, value", [
+    ("dataset", "seed", 1.5), ("train", "seed", "x"), ("train", "batch_size", 8.5),
+    ("train", "iters", True), ("split", "labels_per_class", "2"), ("train", "rotnet", 1),
+])
+def test_mistyped_config_value_is_exit_2_on_dry_run(tmp_path, capsys, block, field, value):
+    cfg = json.loads(json.dumps(GMM_TRAIN))
+    cfg[block][field] = value
+    assert main(["train", "--config", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert f"{block}.{field} must be" in capsys.readouterr().err
+
+
 def test_negative_threads_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, GMM_TRAIN)
     assert main(["train", "--config", path, "--dry-run", "--threads", "-1"]) == 2
@@ -168,6 +179,17 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
         broken.write_text(payload)
         assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
         assert message in capsys.readouterr().err
+    # a missing file, an arch without hidden_sizes and truncated params name the key
+    assert main(["eval", "--config", path, "--checkpoint", str(tmp_path / "gone.json")]) == 2
+    assert "cannot read checkpoint" in capsys.readouterr().err
+    good = json.loads(open(ck).read())
+    no_hidden = dict(good, arch={k: v for k, v in good["arch"].items() if k != "hidden_sizes"})
+    for state, message in ((no_hidden, "arch.hidden_sizes"),
+                           (dict(good, params=good["params"][:-6]), "params")):
+        broken.write_text(json.dumps(state))
+        assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert str(broken) in err and message in err
 
     # vector data cannot drive the rotation-vote permutation curve
     assert main(["eval", "--config", path, "--checkpoint", ck, "--topk", "2"]) == 2

@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from clusterssl.config import (
@@ -77,6 +79,32 @@ def test_negative_train_seed_is_rejected():
         TrainConfig(seed=-1)
     with pytest.raises(ConfigurationError, match="seed must be >= 0"):
         ExperimentConfig.from_dict({"dataset": GMM, "train": {"seed": -3}})
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"dataset": dict(GMM, seed=1.5)}, "dataset.seed"),
+    ({"dataset": dict(GMM, k=True)}, "dataset.k"),
+    ({"dataset": dict(GMM, separation="far")}, "dataset.separation"),
+    ({"dataset": {"path": 3}}, "dataset.path"),
+    ({"dataset": GMM, "split": {"test_frac": None}}, "split.test_frac"),
+    ({"dataset": GMM, "train": {"seed": "x"}}, "train.seed"),
+    ({"dataset": GMM, "train": {"batch_size": 8.5}}, "train.batch_size"),
+    ({"dataset": GMM, "train": {"lr_ssl": "0.03"}}, "train.lr_ssl"),
+    ({"dataset": GMM, "train": {"rotnet": "yes"}}, "train.rotnet"),
+    ({"dataset": GMM, "train": {"hidden_sizes": 64}}, "train.hidden_sizes"),
+    ({"dataset": GMM, "train": {"hidden_sizes": [64, 1.5]}}, "train.hidden_sizes[1]"),
+    ({"dataset": GMM, "out_dir": 5}, "out_dir"),
+    ({"dataset": GMM, "version": 1.0}, "version"),
+])
+def test_mistyped_values_are_named(payload, key):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(key)} must be"):
+        ExperimentConfig.from_dict(payload)
+
+
+def test_ints_pass_for_float_fields():
+    cfg = ExperimentConfig.from_dict({"dataset": dict(GMM, separation=6), "train": {"lr_ssl": 1}})
+    assert cfg.dataset["separation"] == 6 and cfg.train.lr_ssl == 1
+    assert TrainConfig(seed=np.int64(3), hidden_sizes=[np.int64(4)]).hidden_sizes == (4,)
 
 
 def test_version_mismatch():

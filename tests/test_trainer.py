@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -155,6 +156,37 @@ def test_checkpoint_rejects_damage(tmp_path):
     path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
     with pytest.raises(ValueError, match="lacks key"):
         load_checkpoint(str(path))
+
+
+ZEROS_3 = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (None, "cannot read checkpoint"),
+    (lambda st: st["arch"].pop("hidden_sizes"), "lacks key(s): arch.hidden_sizes"),
+    (lambda st: st.update(arch=[6, 5]), "arch is not a JSON object"),
+    (lambda st: st.update(params=st["params"][:-6]), "params is not base64"),
+    (lambda st: st.update(params=st["params"][:-4]), "params is not base64 float64 values"),
+    (lambda st: st.update(params=ZEROS_3), "arch and params do not make a model"),
+    (lambda st: st.update(velocity=ZEROS_3), "velocity holds 3 values"),
+    (lambda st: st.update(ema_shadow=7), "ema_shadow is not base64"),
+])
+def test_damaged_checkpoint_names_path_and_key(tmp_path, rng, damage, message):
+    from clusterssl.optim import EmaState, Sgd
+
+    model = Model(6, (5,), 3, rng=rng)
+    path = tmp_path / "ck.json"
+    save_checkpoint(str(path), iteration=1, model=model, ema=EmaState(model.get_params(), 0.9),
+                    opt=Sgd(model.n_params, 0.9), pool=None, rng=rng, cfg=TrainConfig(), rows=[])
+    if damage is None:
+        path.unlink()
+    else:
+        state = json.loads(path.read_text())
+        damage(state)
+        path.write_text(json.dumps(state))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(str(path))
+    assert str(path) in str(info.value) and message in str(info.value)
 
 
 @pytest.mark.parametrize("name", ["checkpoint.json", "metrics.csv", "summary.json"])
