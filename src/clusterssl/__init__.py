@@ -7,6 +7,10 @@ optimal assignment, plus a rotation-prediction pretext for images.
 
 __version__ = "0.1.0"
 
+# the environment variables that size the BLAS and OpenMP thread pools; numpy
+# reads them once, when it is first imported
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
 from .errors import ConfigurationError, DivergenceError
 
 __all__ = ["ConfigurationError", "DivergenceError", "__version__"]

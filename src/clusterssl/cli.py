@@ -14,12 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+from . import THREAD_VARS
 
 
 def _apply_threads(n: int) -> None:
@@ -29,7 +24,7 @@ def _apply_threads(n: int) -> None:
         raise ConfigurationError(f"--threads must be >= 0, got {n}")
     if n == 0:
         return
-    for var in _THREAD_VARS:
+    for var in THREAD_VARS:
         os.environ[var] = str(n)
 
 

@@ -14,6 +14,8 @@ payload. A dataset file is two consecutive records (features, labels).
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -231,17 +233,16 @@ def write_record(fh, arr: np.ndarray) -> None:
         raise ValueError(f"unsupported dtype {arr.dtype}; use float64, int64, or uint8")
     if arr.ndim > 255:
         raise ValueError("too many dimensions")
-    fh.write(MAGIC)
-    fh.write(struct.pack("<BBB", RECORD_VERSION, code, arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(arr.tobytes())
+    fh.write(MAGIC + struct.pack(f"<BBB{arr.ndim}I", RECORD_VERSION, code, arr.ndim, *arr.shape))
+    fh.write(memoryview(arr.reshape(-1)).cast("B"))
 
 
 def read_record(fh) -> np.ndarray:
-    """Read one tensor record; raises ValueError on corrupt or truncated data.
+    """Read one tensor record into a new array; raises ValueError on corrupt or truncated data.
 
-    Each message names the stream offset at which the bad field starts.
+    Each message names the stream offset at which the bad field starts. A
+    payload longer than the rest of the stream is refused before anything
+    is allocated for it.
     """
     start = fh.tell()
     head = fh.read(7)
@@ -257,13 +258,17 @@ def read_record(fh) -> np.ndarray:
     dim_bytes = fh.read(4 * ndim)
     if len(dim_bytes) < 4 * ndim:
         raise ValueError(f"truncated record dims at offset {start + 7}")
-    shape = struct.unpack(f"<{ndim}I", dim_bytes) if ndim else ()
+    shape = struct.unpack(f"<{ndim}I", dim_bytes)
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    payload = fh.read(count * dtype.itemsize)
-    if len(payload) < count * dtype.itemsize:
-        raise ValueError(f"truncated record payload at offset {start + 7 + 4 * ndim}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    nbytes = math.prod(shape) * dtype.itemsize
+    payload_at = start + 7 + 4 * ndim
+    if nbytes > fh.seek(0, io.SEEK_END) - payload_at:
+        raise ValueError(f"truncated record payload at offset {payload_at}")
+    fh.seek(payload_at)
+    arr = np.empty(shape, dtype=dtype)
+    if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != nbytes:
+        raise ValueError(f"truncated record payload at offset {payload_at}")
+    return arr
 
 
 def save_dataset(path, ds: Dataset) -> None:
@@ -279,4 +284,4 @@ def load_dataset(path) -> Dataset:
     if labels.size == 0:
         raise ValueError("dataset file has no items")
     k = int(labels.max()) + 1
-    return Dataset(feats.astype(np.float64), labels.astype(np.int64), k)
+    return Dataset(feats, labels, k)

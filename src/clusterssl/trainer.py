@@ -5,23 +5,23 @@ One master generator seeded from the config drives every random decision
 in a fixed order (model init, pool init, warmup, epochs), so runs are
 resumable and, for a fixed BLAS thread count, bit-reproducible: checkpoints
 carry parameters, EMA shadow, optimizer velocity, pool bindings, generator
-state, and the metric rows written so far. Evaluation always uses the EMA
-shadow weights.
+state, the metric rows written so far, and the thread and numpy settings
+they were written under. Evaluation always uses the EMA shadow weights.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import logging
 import math
 import os
+import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__
+from . import THREAD_VARS, __version__
 from .assignment import clustering_accuracy, count_injections, murty_kbest
 from .augment import rotate90_batch
 from .clustering import (
@@ -32,7 +32,7 @@ from .clustering import (
     rotation_accuracy,
     rotation_epoch,
 )
-from .data import Dataset, DatasetSplit
+from .data import Dataset, DatasetSplit, read_record, write_record
 from .errors import ConfigurationError, DivergenceError, check_type
 from .fixmatch import class_distribution, run_epoch
 from .network import Model
@@ -40,13 +40,20 @@ from .optim import EmaState, Sgd
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _CHECKPOINT_KEYS = (
-    "version", "iteration", "arch", "params", "ema_shadow", "ema_decay",
-    "velocity", "pool", "rng_state", "config", "rows",
+    "version", "iteration", "arch", "ema_decay", "pool", "rng_state", "config", "rows",
+    "tensors", "environment",
 )
-_ARCH_KEYS = ("in_dim", "hidden_sizes", "k", "leaky_slope")
+# keys whose value is an object, with the keys it must hold
+_OBJECT_KEYS = {
+    "arch": ("in_dim", "hidden_sizes", "k", "leaky_slope"),
+    "tensors": ("file", "bytes", "crc32"),
+    "environment": (*THREAD_VARS, "numpy"),
+}
+# the records of the tensor file, in order
+_TENSOR_KEYS = ("params", "ema_shadow", "velocity")
 
 CSV_COLUMNS = (
     "iter", "phase", "epoch", "L_s", "L_u", "L_c", "L_r",
@@ -236,15 +243,15 @@ def topk_permutation_accuracy(
 
 
 @contextmanager
-def _atomic_open(path: str):
-    """Text handle on a temporary file that replaces ``path`` when the block ends.
+def _atomic_open(path: str, binary: bool = False):
+    """Handle on a temporary file that replaces ``path`` when the block ends.
 
     If the block or the write fails, ``path`` keeps its old bytes and the
     temporary file is removed.
     """
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -255,19 +262,23 @@ def _atomic_open(path: str):
 # -- checkpointing ---------------------------------------------------------
 
 
-def _encode(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+def _run_environment() -> dict:
+    """What bit-reproducibility depends on besides the config: thread settings and numpy."""
+    env = {var: os.environ.get(var) for var in THREAD_VARS}
+    env["numpy"] = np.__version__
+    return env
 
 
-def _decode(path: str, state: dict, key: str, size: int | None = None) -> np.ndarray:
-    """The float64 values base64-encoded in state[key]; ValueError naming path and key if damaged."""
+def _tensor_slots(path: str) -> tuple[str, str]:
+    """(file to write, file to remove): the slot the manifest at ``path`` does not name first."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    a, b = f"{stem}.a.cssr", f"{stem}.b.cssr"
     try:
-        values = np.frombuffer(base64.b64decode(state[key], validate=True), dtype="<f8")
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise ValueError(f"checkpoint {path}: {key} is not base64 float64 values ({exc})") from None
-    if size is not None and values.size != size:
-        raise ValueError(f"checkpoint {path}: {key} holds {values.size} values, expected {size}")
-    return values.copy()
+        with open(path, encoding="utf-8") as fh:
+            named = json.load(fh)["tensors"]["file"]
+    except (OSError, ValueError, KeyError, TypeError):
+        named = None
+    return (b, a) if named == a else (a, b)
 
 
 def save_checkpoint(
@@ -282,28 +293,79 @@ def save_checkpoint(
     cfg: TrainConfig,
     rows: list[dict],
 ) -> None:
+    """Write the manifest at ``path`` and the tensor file it names.
+
+    The tensor file goes to the slot the manifest on disk does not name; then
+    the manifest is replaced and the other slot removed. A crash at any step
+    leaves a manifest that names a complete tensor file.
+    """
+    directory = os.path.dirname(path)
+    name, other = _tensor_slots(path)
+    crc = 0
+    with _atomic_open(os.path.join(directory, name), binary=True) as fh:
+        for arr in (model.params, ema.shadow, opt.velocity):
+            arr = np.ascontiguousarray(arr, dtype="<f8")  # the bytes the record holds
+            write_record(fh, arr)
+            crc = zlib.crc32(arr, crc)
+        size = fh.tell()
     state = {
         "version": CHECKPOINT_VERSION,
         "iteration": iteration,
         "arch": model.arch(),
-        "params": _encode(model.params),
-        "ema_shadow": _encode(ema.shadow),
         "ema_decay": ema.decay,
-        "velocity": _encode(opt.velocity),
         "pool": pool.to_state() if pool is not None else None,
         "rng_state": rng.bit_generator.state,
         "config": cfg.to_dict(),
         "rows": rows,
+        "tensors": {"file": name, "bytes": size, "crc32": crc},
+        "environment": _run_environment(),
     }
-    with _atomic_open(path) as fh:
-        json.dump(state, fh)
+    try:
+        with _atomic_open(path) as fh:
+            fh.write(json.dumps(state))
+    except BaseException:  # the manifest on disk still names the other slot
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, name))
+        raise
+    with suppress(FileNotFoundError):
+        os.remove(os.path.join(directory, other))
+
+
+def _read_tensors(path: str, tensors: dict) -> list[np.ndarray]:
+    """The float64 vectors of the tensor file that the manifest at ``path`` names, CRC-checked."""
+    name = tensors["file"]
+    if not isinstance(name, str) or not name or os.path.basename(name) != name:
+        raise ValueError(f"checkpoint {path}: tensors.file {name!r} is not a file name")
+    file = os.path.join(os.path.dirname(path), name)
+    where = f"checkpoint {path}: tensor file {file}"
+    arrays = []
+    crc = 0
+    try:
+        with open(file, "rb") as fh:
+            for key in _TENSOR_KEYS:
+                try:
+                    arr = read_record(fh)
+                except ValueError as exc:
+                    raise ValueError(f"{where}, {key} record: {exc}") from None
+                if arr.dtype != np.float64 or arr.ndim != 1:
+                    raise ValueError(f"{where}, {key} record: not a float64 vector")
+                crc = zlib.crc32(arr, crc)
+                arrays.append(arr)
+            size = os.fstat(fh.fileno()).st_size
+    except OSError as exc:
+        raise ValueError(f"checkpoint {path}: cannot read tensor file: {exc}") from None
+    if size != tensors["bytes"]:
+        raise ValueError(f"{where} holds {size} bytes, tensors.bytes says {tensors['bytes']}")
+    if crc != tensors["crc32"]:
+        raise ValueError(f"{where} has CRC-32 {crc}, tensors.crc32 says {tensors['crc32']}")
+    return arrays
 
 
 def load_checkpoint(path: str) -> dict:
-    """Parsed checkpoint dict with arrays decoded.
+    """Parsed manifest, plus the model and the EMA shadow and velocity arrays.
 
     Any unreadable, damaged or unknown-version checkpoint raises ValueError
-    naming the path and, where one is at fault, the key."""
+    naming the path and, where one is at fault, the key or the byte offset."""
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
@@ -317,22 +379,25 @@ def load_checkpoint(path: str) -> dict:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: version {version} not supported (want {CHECKPOINT_VERSION})")
     missing = [key for key in _CHECKPOINT_KEYS if key not in state]
-    if not missing:
-        arch = state["arch"]
-        if not isinstance(arch, dict):
-            raise ValueError(f"checkpoint {path}: arch is not a JSON object")
-        missing = [f"arch.{key}" for key in _ARCH_KEYS if key not in arch]
+    for key, inner in _OBJECT_KEYS.items():
+        if key in state:
+            if not isinstance(state[key], dict):
+                raise ValueError(f"checkpoint {path}: {key} is not a JSON object")
+            missing += [f"{key}.{name}" for name in inner if name not in state[key]]
     if missing:
         raise ValueError(f"checkpoint {path} lacks key(s): {', '.join(missing)}")
-    params = _decode(path, state, "params")
+    params, ema_shadow, velocity = _read_tensors(path, state["tensors"])
     try:
-        model = Model.from_arch(arch, params)
+        model = Model.from_arch(state["arch"], params)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: arch and params do not make a model: {exc}") from None
-    del params  # the model holds a copy; free this one before the next two decode
+    for key, values in (("ema_shadow", ema_shadow), ("velocity", velocity)):
+        if values.size != model.n_params:
+            raise ValueError(
+                f"checkpoint {path}: {key} holds {values.size} values, expected {model.n_params}")
     state["model"] = model
-    state["ema_shadow_arr"] = _decode(path, state, "ema_shadow", model.n_params)
-    state["velocity_arr"] = _decode(path, state, "velocity", model.n_params)
+    state["ema_shadow_arr"] = ema_shadow
+    state["velocity_arr"] = velocity
     return state
 
 
@@ -407,6 +472,13 @@ class _Driver:
         self.rng.bit_generator.state = state["rng_state"]
         self.rows = list(state["rows"])
         self.start_iter = state["iteration"] + 1
+        written = state["environment"]
+        changed = [f"{key} {written[key]!r} -> {value!r}"
+                   for key, value in _run_environment().items() if written[key] != value]
+        if changed:
+            logger.warning("resuming %s under other settings than it was written with (%s); "
+                           "the run may not reproduce an uninterrupted one bit for bit",
+                           path, ", ".join(changed))
 
     # -- emission ----------------------------------------------------------
 
@@ -498,9 +570,10 @@ def train(
 ) -> RunRecord:
     """Run the full alternation schedule; returns the record of the run.
 
-    With ``out_dir`` set, metrics.csv and checkpoint.json are refreshed
-    after warmup and after every outer iteration, and summary.json at the
-    end. On divergence the last finite checkpoint is kept and the error
+    With ``out_dir`` set, metrics.csv and the checkpoint (checkpoint.json
+    and the tensor file it names) are refreshed after warmup and after every
+    outer iteration, and summary.json at the end; a fresh run removes an
+    earlier run's summary.json before its first write. On divergence the last finite checkpoint is kept and the error
     re-raised. ``model`` continues training from an existing network
     instead of a fresh one. ``on_cluster_epoch(pool, iter, epoch)`` is an
     instrumentation hook invoked after every clustering epoch.
@@ -515,6 +588,9 @@ def train(
     else:
         driver.fresh_state(model)
         driver.run_warmup()
+        if out_dir is not None:
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "summary.json"))
         driver.checkpoint(0)
         driver.write_outputs()
 

@@ -9,6 +9,7 @@ import pytest
 from clusterssl.cli import main
 from clusterssl.trainer import CHECKPOINT_VERSION
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GMM_TRAIN = {
     "dataset": {"generator": "gaussian_mixture", "k": 3, "n": 60, "d": 8, "seed": 0},
@@ -87,6 +88,22 @@ def test_mistyped_config_value_is_exit_2_on_dry_run(tmp_path, capsys, block, fie
     assert f"{block}.{field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, field, value", [
+    ("dataset", "separation", float("nan")), ("dataset", "separation", float("inf")),
+    ("train", "divergence_limit", float("nan")), ("train", "lr_ssl", float("nan")),
+    ("split", "test_frac", float("-inf")),
+])
+def test_non_finite_config_number_is_exit_2_on_dry_run(tmp_path, capsys, block, field, value):
+    cfg = json.loads(json.dumps(GMM_TRAIN))
+    cfg[block][field] = value
+    path = write_cfg(tmp_path, cfg)
+    with open(path) as fh:
+        text = fh.read()
+    assert "NaN" in text or "Infinity" in text
+    assert main(["train", "--config", path, "--dry-run"]) == 2
+    assert f"{block}.{field} must be a finite number" in capsys.readouterr().err
+
+
 def test_negative_threads_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, GMM_TRAIN)
     assert main(["train", "--config", path, "--dry-run", "--threads", "-1"]) == 2
@@ -151,6 +168,23 @@ def test_eval_topk_curve(tmp_path, capsys):
     assert accs == sorted(accs)  # running best never decreases
 
 
+@pytest.mark.parametrize("run, topk", [("toy_gmm", "0"), ("shapes8", "24")])
+def test_committed_checkpoint_reproduces_its_summary(capsys, run, topk):
+    with open(os.path.join(ROOT, "runs", run, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert main(["eval", "--config", os.path.join(ROOT, "configs", f"{run}.json"),
+                 "--checkpoint", os.path.join(ROOT, "runs", run, "checkpoint.json"),
+                 "--topk", topk]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        f"test classification accuracy: {summary['test_cls_acc']:.4f}",
+        f"test clustering accuracy:     {summary['test_clu_acc']:.4f}",
+        f"best cluster->class permutation: {summary['best_perm']}",
+    ]
+    curve = [float(line.split(",")[1]) for line in lines[4:]]
+    assert curve == summary.get("topk_curve", [])[: int(topk)]
+
+
 def test_eval_mismatches_are_exit_2(tmp_path, capsys):
     out = str(tmp_path / "run")
     path = write_cfg(tmp_path, dict(GMM_TRAIN, out_dir=out))
@@ -179,14 +213,27 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
         broken.write_text(payload)
         assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
         assert message in capsys.readouterr().err
-    # a missing file, an arch without hidden_sizes and truncated params name the key
+    # a missing manifest or tensor file, an arch without hidden_sizes, a truncated
+    # params record and a flipped payload byte name the key or the offset
     assert main(["eval", "--config", path, "--checkpoint", str(tmp_path / "gone.json")]) == 2
     assert "cannot read checkpoint" in capsys.readouterr().err
     good = json.loads(open(ck).read())
+    with open(os.path.join(out, good["tensors"]["file"]), "rb") as fh:
+        tensors = fh.read()
+    flipped = bytearray(tensors)
+    flipped[-100] ^= 1
     no_hidden = dict(good, arch={k: v for k, v in good["arch"].items() if k != "hidden_sizes"})
-    for state, message in ((no_hidden, "arch.hidden_sizes"),
-                           (dict(good, params=good["params"][:-6]), "params")):
+    for state, data, message in ((good, None, "cannot read tensor file"),
+                                 (no_hidden, tensors, "arch.hidden_sizes"),
+                                 (good, tensors[:100], "params record"),
+                                 (good, tensors[:100], "truncated record payload at offset 11"),
+                                 (good, bytes(flipped), "tensors.crc32")):
         broken.write_text(json.dumps(state))
+        tensor_path = tmp_path / good["tensors"]["file"]
+        if data is None:
+            tensor_path.unlink(missing_ok=True)
+        else:
+            tensor_path.write_bytes(data)
         assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
         err = capsys.readouterr().err
         assert str(broken) in err and message in err

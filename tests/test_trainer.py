@@ -1,12 +1,14 @@
-import base64
+import io
 import json
+import logging
 import os
+import zlib
 
 import numpy as np
 import pytest
 
 from clusterssl.assignment import count_injections
-from clusterssl.data import DatasetSplit, make_shape_images, partition
+from clusterssl.data import DatasetSplit, make_shape_images, partition, read_record, write_record
 from clusterssl.errors import ConfigurationError, DivergenceError
 from clusterssl.network import Model
 from clusterssl.trainer import (
@@ -158,18 +160,40 @@ def test_checkpoint_rejects_damage(tmp_path):
         load_checkpoint(str(path))
 
 
-ZEROS_3 = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")
+def _rewrite_records(state, tensors, **arrays):
+    """Swap records of the tensor file bytes, keeping the manifest's size and CRC in step."""
+    buf = io.BytesIO(bytes(tensors))
+    records = {key: read_record(buf) for key in ("params", "ema_shadow", "velocity")}
+    records.update(arrays)
+    out = io.BytesIO()
+    crc = 0
+    for arr in records.values():
+        write_record(out, arr)
+        crc = zlib.crc32(arr, crc)
+    tensors[:] = out.getvalue()
+    state["tensors"].update(bytes=len(tensors), crc32=crc)
+
+
+def _flip_payload_byte(state, tensors):
+    tensors[-100] ^= 1
 
 
 @pytest.mark.parametrize("damage, message", [
     (None, "cannot read checkpoint"),
-    (lambda st: st["arch"].pop("hidden_sizes"), "lacks key(s): arch.hidden_sizes"),
-    (lambda st: st.update(arch=[6, 5]), "arch is not a JSON object"),
-    (lambda st: st.update(params=st["params"][:-6]), "params is not base64"),
-    (lambda st: st.update(params=st["params"][:-4]), "params is not base64 float64 values"),
-    (lambda st: st.update(params=ZEROS_3), "arch and params do not make a model"),
-    (lambda st: st.update(velocity=ZEROS_3), "velocity holds 3 values"),
-    (lambda st: st.update(ema_shadow=7), "ema_shadow is not base64"),
+    (lambda st, t: st["arch"].pop("hidden_sizes"), "lacks key(s): arch.hidden_sizes"),
+    (lambda st, t: st.update(arch=[6, 5]), "arch is not a JSON object"),
+    (lambda st, t: st["tensors"].update(file="gone.cssr"), "cannot read tensor file"),
+    (lambda st, t: st["tensors"].update(file="../ck.a.cssr"), "tensors.file '../ck.a.cssr' is not a file name"),
+    (lambda st, t: t.__delitem__(slice(100, None)), "params record: truncated record payload at offset 11"),
+    (lambda st, t: t.__delitem__(slice(-6, None)), "velocity record: truncated record payload"),
+    (lambda st, t: t.extend(b"x"), "bytes, tensors.bytes says"),
+    (lambda st, t: t.__setitem__(slice(5, 6), b"\x01"), "params record: not a float64 vector"),
+    (lambda st, t: _rewrite_records(st, t, params=np.zeros(3)), "arch and params do not make a model"),
+    (lambda st, t: _rewrite_records(st, t, velocity=np.zeros(3)), "velocity holds 3 values"),
+    (lambda st, t: _rewrite_records(st, t, ema_shadow=np.zeros(3, dtype=np.int64)),
+     "ema_shadow record: not a float64 vector"),
+    (lambda st, t: st["tensors"].update(bytes=1), "tensors.bytes says 1"),
+    (_flip_payload_byte, "tensors.crc32"),
 ])
 def test_damaged_checkpoint_names_path_and_key(tmp_path, rng, damage, message):
     from clusterssl.optim import EmaState, Sgd
@@ -178,15 +202,41 @@ def test_damaged_checkpoint_names_path_and_key(tmp_path, rng, damage, message):
     path = tmp_path / "ck.json"
     save_checkpoint(str(path), iteration=1, model=model, ema=EmaState(model.get_params(), 0.9),
                     opt=Sgd(model.n_params, 0.9), pool=None, rng=rng, cfg=TrainConfig(), rows=[])
+    state = json.loads(path.read_text())
+    tensor_path = tmp_path / state["tensors"]["file"]
     if damage is None:
         path.unlink()
     else:
-        state = json.loads(path.read_text())
-        damage(state)
+        tensors = bytearray(tensor_path.read_bytes())
+        damage(state, tensors)
         path.write_text(json.dumps(state))
+        tensor_path.write_bytes(tensors)
     with pytest.raises(ValueError) as info:
         load_checkpoint(str(path))
     assert str(path) in str(info.value) and message in str(info.value)
+
+
+def test_checkpoint_is_a_manifest_and_one_tensor_file(tmp_path, rng):
+    from clusterssl.optim import EmaState, Sgd
+
+    model = Model(6, (5,), 3, rng=rng)
+    path = tmp_path / "ck.json"
+    files = []
+    for iteration in range(3):
+        save_checkpoint(str(path), iteration=iteration, model=model,
+                        ema=EmaState(model.get_params(), 0.9), opt=Sgd(model.n_params, 0.9),
+                        pool=None, rng=rng, cfg=TrainConfig(), rows=[])
+        files.append(sorted(p.name for p in tmp_path.iterdir()))
+    assert files == [["ck.a.cssr", "ck.json"], ["ck.b.cssr", "ck.json"], ["ck.a.cssr", "ck.json"]]
+    state = json.loads(path.read_text())
+    data = (tmp_path / "ck.a.cssr").read_bytes()
+    with io.BytesIO(data) as buf:
+        payloads = b"".join(read_record(buf).tobytes() for _ in range(3))
+    assert state["tensors"] == {"file": "ck.a.cssr", "bytes": len(data), "crc32": zlib.crc32(payloads)}
+    assert set(state["environment"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "numpy"}
+    assert state["environment"]["numpy"] == np.__version__
+    assert str(tmp_path) not in path.read_text()
 
 
 @pytest.mark.parametrize("name", ["checkpoint.json", "metrics.csv", "summary.json"])
@@ -214,16 +264,145 @@ def test_failed_artifact_write_keeps_previous_file(small_gmm, tmp_path, monkeypa
         def __exit__(self, *exc):
             self.fh.close()
 
-    def faulty_open(path, *args, **kwargs):
-        fh = open(path, *args, **kwargs)
-        return HalfWriter(fh) if os.path.basename(path).startswith(name) else fh
+    def faulty_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode and os.path.basename(path).startswith(name) else fh
 
     monkeypatch.setattr(trainer_mod, "open", faulty_open, raising=False)
     # a different seed, so that every artifact would change
     with pytest.raises(OSError, match="no space"):
         train(TrainConfig(**{**SMALL, "seed": 6}), ds, split, out_dir=str(out))
-    assert (out / name).read_bytes() == previous
-    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "metrics.csv", "summary.json"]
+    if name == "summary.json":
+        # a fresh run removes the finished run's summary before its first write
+        assert not (out / name).exists()
+    else:
+        assert (out / name).read_bytes() == previous
+    # one complete tensor file, the one the manifest names; no temporary file is left
+    tensor_file = load_checkpoint(str(out / "checkpoint.json"))["tensors"]["file"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["checkpoint.json", tensor_file, "metrics.csv"])
+
+
+class Crash(Exception):
+    """The process dies: the failing file operation and every later one do nothing."""
+
+
+def test_checkpoint_survives_a_crash_at_every_file_operation(tmp_path, small_gmm, monkeypatch):
+    import clusterssl.trainer as trainer_mod
+
+    ds, split = small_gmm
+    cfg = TrainConfig(**{**SMALL, "iters": 3})
+    full = tmp_path / "full"
+    train(cfg, ds, split, out_dir=str(full))
+    want = {name: (full / name).read_bytes() for name in ("metrics.csv", "summary.json")}
+
+    # count the file operations of the save after iteration 2, and fail the n-th
+    plan = {"save": 0, "ops": 0, "fail_at": None}
+
+    def operation(fn):
+        def run(*args, **kwargs):
+            if plan["save"] == 3:
+                plan["ops"] += 1
+                if plan["fail_at"] is not None and plan["ops"] >= plan["fail_at"]:
+                    raise Crash(f"file operation {plan['ops']}")
+            return fn(*args, **kwargs)
+        return run
+
+    class Handle:
+        def __init__(self, fh):
+            self.fh = fh
+            self.write = operation(fh.write)
+
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def save(*args, **kwargs):
+        plan["save"] += 1
+        try:
+            return real_save(*args, **kwargs)
+        finally:
+            if plan["save"] == 3:
+                plan["save"] = -1  # later saves run untouched
+
+    real_save = trainer_mod.save_checkpoint
+    monkeypatch.setattr(trainer_mod, "save_checkpoint", save)
+    monkeypatch.setattr(trainer_mod, "open", operation(lambda *a, **k: Handle(open(*a, **k))),
+                        raising=False)
+    monkeypatch.setattr(os, "replace", operation(os.replace))
+    monkeypatch.setattr(os, "remove", operation(os.remove))
+
+    train(cfg, ds, split, out_dir=str(tmp_path / "count"))
+    n_ops = plan["ops"]
+    # read the old manifest (1); open, write (two writes per record), replace and
+    # clean up the temporary tensor file (9); open, write, replace and clean up
+    # the temporary manifest (4); remove the old slot (1)
+    assert n_ops == 15
+    for n in range(1, n_ops + 1):
+        out = tmp_path / f"crash{n}"
+        plan.update(save=0, ops=0, fail_at=n)
+        with pytest.raises(Crash):
+            train(cfg, ds, split, out_dir=str(out))
+        ck = str(out / "checkpoint.json")
+        assert load_checkpoint(ck)["iteration"] in (1, 2)
+        train(cfg, ds, split, out_dir=str(out), resume_from=ck)
+        for name, data in want.items():
+            assert (out / name).read_bytes() == data, (n, name)
+        tensor_file = load_checkpoint(ck)["tensors"]["file"]
+        assert sorted(p.name for p in out.iterdir() if not p.name.endswith(".tmp")) == \
+            sorted(["checkpoint.json", tensor_file, "metrics.csv", "summary.json"])
+
+
+def test_fresh_run_clears_a_finished_runs_summary(tmp_path, small_gmm):
+    ds, split = small_gmm
+    out = str(tmp_path / "run")
+    train(TrainConfig(**{**SMALL, "seed": 3}), ds, split, out_dir=out)
+
+    class Stop(Exception):
+        pass
+
+    def bail(pool, t, epoch):
+        if t == 2:
+            raise Stop
+
+    with pytest.raises(Stop):
+        train(TrainConfig(**{**SMALL, "seed": 4}), ds, split, out_dir=out, on_cluster_epoch=bail)
+    state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+    assert (state["config"]["seed"], state["iteration"]) == (4, 1)
+    assert sorted(os.listdir(out)) == sorted(["checkpoint.json", state["tensors"]["file"], "metrics.csv"])
+
+
+def test_resume_under_other_thread_settings_warns_and_completes(tmp_path, small_gmm, monkeypatch,
+                                                                 caplog):
+    ds, split = small_gmm
+    cfg = TrainConfig(**SMALL)
+    full = train(cfg, ds, split)
+
+    class Stop(Exception):
+        pass
+
+    def bail(pool, t, epoch):
+        if t == 2:
+            raise Stop
+
+    out = str(tmp_path / "run")
+    with pytest.raises(Stop):
+        train(cfg, ds, split, out_dir=out, on_cluster_epoch=bail)
+    ck = os.path.join(out, "checkpoint.json")
+    written = load_checkpoint(ck)["environment"]
+    assert written["numpy"] == np.__version__
+    monkeypatch.setenv("OMP_NUM_THREADS", "7" if written["OMP_NUM_THREADS"] != "7" else "5")
+    caplog.set_level(logging.WARNING, logger="clusterssl.trainer")
+    resumed = train(cfg, ds, split, out_dir=out, resume_from=ck)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "OMP_NUM_THREADS" in warnings[0] and "OPENBLAS_NUM_THREADS" not in warnings[0]
+    assert "numpy" not in warnings[0]
+    assert resumed.csv_text() == full.csv_text()
 
 
 def test_alternation_accounting(small_gmm):
