@@ -7,16 +7,19 @@ enumeration oracle. murty_kbest ranks the k cheapest assignments by
 systematic inclusion/exclusion partitioning. clustering_accuracy scores
 predictions against labels under the best cluster-to-label bijection.
 
-A clustering batch's cost matrix has one distinct row per class, so
-hungarian_solve first solves a matrix with repeated rows as a
-transportation problem over its distinct rows (_solve_grouped). When that
-problem's optimal partition of the columns is unique, rows of one group
-take the group's columns in ascending order, in row order, which is the
+A clustering batch has one distinct cost row per class, so its caller
+passes hungarian_solve only those rows plus ``groups``, the distinct row
+each of the c solver rows takes: solver row i is ``cost[groups[i]]``, and
+every distinct row must be used. That matrix is first solved as a
+transportation problem over the distinct rows (_solve_grouped). When its
+optimal partition of the columns is unique, rows of one group take the
+group's columns in ascending order, in row order, which is the
 lexicographic map: within a class, the batch's target slots, in the order
 the plan lists them, go to the class's images in batch order. A partition
-that is not unique by a margin (GROUP_TIE_MARGIN), or a float-level
-negative cycle met on the way, falls back to the general padded solve
-(_solve_rect), which also takes every matrix whose rows are all distinct.
+that is not unique by a margin (GROUP_TIE_MARGIN), a float-level negative
+cycle met on the way, or groups of one row each fall back to the general
+padded solve (_solve_rect) on the expanded c x b matrix. A matrix passed
+without ``groups`` takes the general solve alone.
 """
 
 from __future__ import annotations
@@ -211,26 +214,24 @@ def _group_graph(dcost: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.n
     return w, arg
 
 
-def _solve_grouped(cm: np.ndarray) -> np.ndarray | None:
-    """Transportation solve for a matrix with repeated rows.
+def _solve_grouped(rows: np.ndarray, groups: np.ndarray) -> np.ndarray | None:
+    """Transportation solve of the c x b matrix ``rows[groups]``.
 
-    Each distinct row is a source whose supply is its row count, plus one
-    unassigned source for the b - c unused columns; every column takes one
-    unit. Starting from each column's cheapest source, successive shortest
-    paths on the source graph move columns until every supply is met. The
-    partition is accepted only if every exchange cycle costs more than
-    ``GROUP_TIE_MARGIN`` times the cost scale; then it is the unique optimum
-    and rows of one group take its columns in ascending order, which is the
-    lexicographically smallest optimal map. Returns None when the rows are
-    all distinct or the optimum may not be unique.
+    Each distinct row is a source whose supply is its group's size, plus
+    one unassigned source for the b - c unused columns; every column takes
+    one unit. Starting from each column's cheapest source, successive
+    shortest paths on the source graph move columns until every supply is
+    met. The partition is accepted only if every exchange cycle costs more
+    than ``GROUP_TIE_MARGIN`` times the cost scale; then it is the unique
+    optimum and rows of one group take its columns in ascending order, which
+    is the lexicographically smallest optimal map. Returns None when every
+    group has one row or the optimum may not be unique.
     """
-    c, b = cm.shape
-    group_of: dict[bytes, int] = {}
-    row_group = np.array([group_of.setdefault(row.tobytes(), len(group_of)) for row in cm])
-    if len(group_of) == c:
+    c, b = groups.shape[0], rows.shape[1]
+    if rows.shape[0] == c:
         return None
-    rows = cm[np.unique(row_group, return_index=True)[1]]
-    supply = np.bincount(row_group)
+    tie = GROUP_TIE_MARGIN * _cost_scale(rows)
+    supply = np.bincount(groups)
     if b > c:
         # any constant works for the unused columns; the c-th smallest best
         # cost lets the greedy start leave about b - c of them unassigned
@@ -276,25 +277,43 @@ def _solve_grouped(cm: np.ndarray) -> np.ndarray | None:
     w, _ = _group_graph(rows, owner)
     for m in range(n):
         w = np.minimum(w, w[:, m, None] + w[None, m, :])
-    if np.any(np.diag(w) <= GROUP_TIE_MARGIN * _cost_scale(cm)):
+    if np.any(np.diag(w) <= tie):
         return None
     cols = np.empty(c, dtype=np.int64)
-    cols[np.argsort(row_group, kind="stable")] = np.argsort(owner, kind="stable")[:c]
+    cols[np.argsort(groups, kind="stable")] = np.argsort(owner, kind="stable")[:c]
     return cols
 
 
-def hungarian_solve(cost) -> Assignment:
+def _check_groups(groups, shape: tuple[int, int]) -> np.ndarray:
+    g = np.asarray(groups)
+    n, b = shape
+    if g.ndim != 1 or not np.issubdtype(g.dtype, np.integer):
+        raise ValueError(f"groups must be a 1-D integer array, got shape {g.shape}, dtype {g.dtype}")
+    g = g.astype(np.int64, copy=False)
+    if not 1 <= g.shape[0] <= b:
+        raise ValueError(f"groups must name 1 to {b} solver rows, got {g.shape[0]}")
+    if g.min() < 0 or g.max() >= n:
+        raise ValueError(f"groups must index the {n} cost rows, got values {g.min()}..{g.max()}")
+    if np.bincount(g, minlength=n).min() == 0:
+        raise ValueError("every cost row must belong to some group")
+    return g
+
+
+def hungarian_solve(cost, groups=None) -> Assignment:
     """Minimum-cost injective assignment of rows to columns.
 
     Deterministic: among equal-cost optima, returns the lexicographically
-    smallest map (smallest column for the earliest row). A matrix with
-    repeated rows is first tried as a transportation problem.
+    smallest map (smallest column for the earliest row). With ``groups``,
+    ``cost`` holds distinct rows and solver row i is ``cost[groups[i]]``;
+    that matrix is first tried as a transportation problem. Without it,
+    every row of ``cost`` is a solver row of its own.
     """
     cm = _check_cost_matrix(cost)
-    cols = _solve_grouped(cm)
+    groups = np.arange(cm.shape[0]) if groups is None else _check_groups(groups, cm.shape)
+    cols = _solve_grouped(cm, groups)
     if cols is None:
-        cols = _solve_rect(cm)
-    total = float(cm[np.arange(cm.shape[0]), cols].sum())
+        cols = _solve_rect(cm[groups])
+    total = float(cm[groups, cols].sum())
     return Assignment(tuple(int(j) for j in cols), total)
 
 

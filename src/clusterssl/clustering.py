@@ -112,9 +112,11 @@ def init_target_pool(n: int, k: int, alpha: float, rng: np.random.Generator) -> 
 def assign_batch(pool: TargetPool, plan: ClusterBatchPlan, outputs: np.ndarray) -> int:
     """Optimal pairing of the batch's bound classes to the batch images.
 
-    cost[i][j] = ||outputs_j - e_{c_i}||^2 for the i-th bound class c_i.
-    The pool is updated in place and each class keeps its count. Returns
-    the number of batch images whose class changed.
+    The solver gets one cost row per class present, cost[g][j] =
+    ||outputs_j - e_g||^2, and solver row i, the i-th bound class in batch
+    order, takes the row of its class. The pool is updated in place and
+    each class keeps its count. Returns the number of batch images whose
+    class changed.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     b = plan.image_indices.shape[0]
@@ -123,9 +125,9 @@ def assign_batch(pool: TargetPool, plan: ClusterBatchPlan, outputs: np.ndarray) 
     classes = plan.held[plan.held != UNASSIGNED]
     if classes.size == 0:
         return 0
-    tvecs = one_hot(classes, pool.k)
-    cost = ((tvecs[:, None, :] - outputs[None, :, :]) ** 2).sum(axis=2)
-    return pool.rebind(plan, hungarian_solve(cost))
+    present, groups = np.unique(classes, return_inverse=True)
+    cost = ((one_hot(present, pool.k)[:, None, :] - outputs[None]) ** 2).sum(axis=2)
+    return pool.rebind(plan, hungarian_solve(cost, groups))
 
 
 def confident_pseudo(

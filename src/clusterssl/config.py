@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .data import check_gaussian_mixture, check_shape_images, check_split
 from .errors import ConfigurationError, check_type
 from .trainer import TrainConfig
 
@@ -144,6 +145,10 @@ def _normalize_dataset(block: dict) -> dict:
     merged.update(defaults)
     merged.update(block)
     _check_types(merged, defaults, "dataset")
+    if gen == "gaussian_mixture":
+        check_gaussian_mixture(merged["k"], merged["n"], merged["d"], merged["separation"])
+    else:
+        check_shape_images(merged["k"], merged["n"], merged["size"])
     return merged
 
 
@@ -153,8 +158,7 @@ def _normalize_split(block: dict) -> dict:
     merged = dict(_SPLIT_DEFAULTS)
     merged.update(block)
     _check_types(merged, _SPLIT_DEFAULTS, "split")
-    if merged["labels_per_class"] < 1:
-        raise ConfigurationError("split.labels_per_class must be >= 1")
+    check_split(merged["labels_per_class"], merged["test_frac"])
     return merged
 
 

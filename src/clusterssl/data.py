@@ -107,20 +107,48 @@ class DatasetSplit:
                 raise AssertionError("labeled points must be members of the unlabeled pool")
 
 
+# The checks below need no data, so config loading runs them too; their
+# messages name the config key that holds each value.
+
+
+def check_gaussian_mixture(k: int, n: int, d: int, separation: float) -> None:
+    """Raise ConfigurationError unless make_gaussian_mixture accepts these values."""
+    for key, value in (("k", k), ("n", n), ("d", d)):
+        if value < 1:
+            raise ConfigurationError(f"dataset.{key} must be >= 1, got {value}")
+    if n < k:
+        raise ConfigurationError(f"dataset.n must be >= dataset.k (one point per class), got n={n} < k={k}")
+    if separation < 0:
+        raise ConfigurationError(f"dataset.separation must be >= 0, got {separation}")
+    if separation > 0 and d < k:
+        raise ConfigurationError(f"dataset.d must be >= dataset.k for simplex means, got d={d} < k={k}")
+
+
+def check_shape_images(k: int, n: int, size: int) -> None:
+    """Raise ConfigurationError unless make_shape_images accepts these values."""
+    if not 8 <= size <= 32:
+        raise ConfigurationError(f"dataset.size must be in [8, 32], got {size}")
+    if not 1 <= k <= len(SHAPE_NAMES):
+        raise ConfigurationError(f"dataset.k must be in [1, {len(SHAPE_NAMES)}], got {k}")
+    if n < k:
+        raise ConfigurationError(f"dataset.n must be >= dataset.k (one image per class), got n={n} < k={k}")
+
+
+def check_split(labels_per_class: int, test_frac: float) -> None:
+    """Raise ConfigurationError unless partition accepts these values for some dataset."""
+    if not 0.0 <= test_frac < 1.0:
+        raise ConfigurationError(f"split.test_frac must be in [0, 1), got {test_frac}")
+    if labels_per_class < 1:
+        raise ConfigurationError(f"split.labels_per_class must be >= 1, got {labels_per_class}")
+
+
 def make_gaussian_mixture(k: int, n: int, d: int, separation: float, seed: int) -> Dataset:
     """n points from k unit-variance spherical Gaussians, balanced within 1.
 
     Means sit on a scaled simplex so every pair is exactly ``separation``
     apart, which needs d >= k whenever separation > 0.
     """
-    if k < 1 or n < 1 or d < 1:
-        raise ConfigurationError(f"k, n, d must be >= 1, got {k}, {n}, {d}")
-    if n < k:
-        raise ConfigurationError(f"need at least one point per class, got n={n} < k={k}")
-    if separation < 0:
-        raise ConfigurationError(f"separation must be >= 0, got {separation}")
-    if separation > 0 and d < k:
-        raise ConfigurationError(f"simplex means need d >= k, got d={d} < k={k}")
+    check_gaussian_mixture(k, n, d, separation)
     rng = np.random.default_rng(seed)
     means = np.zeros((k, d))
     if separation > 0:
@@ -165,12 +193,7 @@ def make_shape_images(k: int, n: int, size: int, seed: int) -> Dataset:
     pixel noise added. Shapes are chosen so each looks different under
     every multiple of 90 degrees, keeping rotation labels unambiguous.
     """
-    if not 8 <= size <= 32:
-        raise ConfigurationError(f"size must be in [8, 32], got {size}")
-    if k < 1 or k > len(SHAPE_NAMES):
-        raise ConfigurationError(f"k must be in [1, {len(SHAPE_NAMES)}], got {k}")
-    if n < k:
-        raise ConfigurationError(f"need at least one image per class, got n={n} < k={k}")
+    check_shape_images(k, n, size)
     rng = np.random.default_rng(seed)
     counts = np.full(k, n // k)
     counts[: n % k] += 1
@@ -196,10 +219,7 @@ def partition(ds: Dataset, labels_per_class: int, test_frac: float, seed: int) -
     Everything outside the test set forms the unlabeled pool, including
     the labeled points themselves.
     """
-    if not 0.0 <= test_frac < 1.0:
-        raise ConfigurationError(f"test_frac must be in [0, 1), got {test_frac}")
-    if labels_per_class < 1:
-        raise ConfigurationError(f"labels_per_class must be >= 1, got {labels_per_class}")
+    check_split(labels_per_class, test_frac)
     rng = np.random.default_rng(seed)
     test_parts = []
     train_parts = []

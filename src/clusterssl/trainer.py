@@ -269,16 +269,25 @@ def _run_environment() -> dict:
     return env
 
 
-def _tensor_slots(path: str) -> tuple[str, str]:
-    """(file to write, file to remove): the slot the manifest at ``path`` does not name first."""
+def _tensor_slots(path: str, iteration: int) -> tuple[str, str | None]:
+    """(file to write, file to remove) for the save of ``iteration``.
+
+    Even iterations take slot a and odd ones slot b, so the files a run
+    leaves do not depend on what its directory held before. The slot the
+    manifest at ``path`` names is removed after the save and never
+    overwritten: when it is the one due, as for the first save of a fresh
+    run into a used directory, the save takes slot c.
+    """
     stem = os.path.splitext(os.path.basename(path))[0]
-    a, b = f"{stem}.a.cssr", f"{stem}.b.cssr"
+    a, b, c = (f"{stem}.{slot}.cssr" for slot in "abc")
     try:
         with open(path, encoding="utf-8") as fh:
             named = json.load(fh)["tensors"]["file"]
     except (OSError, ValueError, KeyError, TypeError):
         named = None
-    return (b, a) if named == a else (a, b)
+    named = named if named in (a, b, c) else None
+    due = b if iteration % 2 else a
+    return (c if due == named else due), named
 
 
 def save_checkpoint(
@@ -295,12 +304,13 @@ def save_checkpoint(
 ) -> None:
     """Write the manifest at ``path`` and the tensor file it names.
 
-    The tensor file goes to the slot the manifest on disk does not name; then
-    the manifest is replaced and the other slot removed. A crash at any step
-    leaves a manifest that names a complete tensor file.
+    The tensor file goes to the slot ``_tensor_slots`` picks, never the one
+    the manifest on disk names; then the manifest is replaced and the slot
+    it named removed. A crash at any step leaves a manifest that names a
+    complete tensor file.
     """
     directory = os.path.dirname(path)
-    name, other = _tensor_slots(path)
+    name, other = _tensor_slots(path, iteration)
     crc = 0
     with _atomic_open(os.path.join(directory, name), binary=True) as fh:
         for arr in (model.params, ema.shadow, opt.velocity):
@@ -327,8 +337,9 @@ def save_checkpoint(
         with suppress(FileNotFoundError):
             os.remove(os.path.join(directory, name))
         raise
-    with suppress(FileNotFoundError):
-        os.remove(os.path.join(directory, other))
+    if other is not None:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, other))
 
 
 def _read_tensors(path: str, tensors: dict) -> list[np.ndarray]:

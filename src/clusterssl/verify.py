@@ -30,21 +30,24 @@ class CheckResult:
     elapsed: float
 
 
-def _random_cost_matrix(rng: np.random.Generator, max_size: int) -> np.ndarray:
+def _random_cost_matrix(
+    rng: np.random.Generator, max_size: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(rows, groups): the solver rows are ``rows[groups]``, or ``rows`` when groups is None."""
     c = int(rng.integers(1, max_size + 1))
     b = int(rng.integers(c, max_size + 1))
     style = rng.integers(0, 4)
     if style == 0:
-        cm = rng.uniform(0.0, 10.0, size=(c, b))
-    elif style == 1:
-        cm = rng.integers(0, 5, size=(c, b)).astype(np.float64)
-    elif style == 2:
-        # duplicated rows force heavy ties, the regime batches live in
+        return rng.uniform(0.0, 10.0, size=(c, b)), None
+    if style == 1:
+        return rng.integers(0, 5, size=(c, b)).astype(np.float64), None
+    if style == 2:
+        # duplicated rows force heavy ties, the regime batches live in; they
+        # go to the solver as distinct rows plus groups, as a batch's do
         base = rng.uniform(0.0, 4.0, size=(max(1, c // 2), b))
-        cm = base[rng.integers(0, base.shape[0], size=c)].copy()
-    else:
-        cm = np.zeros((c, b))
-    return cm
+        used, groups = np.unique(rng.integers(0, base.shape[0], size=c), return_inverse=True)
+        return base[used], groups
+    return np.zeros((c, b)), None
 
 
 def verify_hungarian(
@@ -53,16 +56,18 @@ def verify_hungarian(
     """Solver total and map must match exhaustive enumeration on every instance.
 
     The map comparison holds the solver to its lexicographic tie rule, which
-    the trainer's determinism rests on. ``corrupt`` is a self-test hook: it
-    biases the reported total so the comparison must fail, proving the check
-    can actually fire.
+    the trainer's determinism rests on. Matrices with duplicated rows are
+    solved through the grouped path and enumerated in full. ``corrupt`` is a
+    self-test hook: it biases the reported total so the comparison must
+    fail, proving the check can actually fire.
     """
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
     for i in range(n_matrices):
-        cm = _random_cost_matrix(rng, max_size)
-        got = hungarian_solve(cm)
+        rows, groups = _random_cost_matrix(rng, max_size)
+        cm = rows if groups is None else rows[groups]
+        got = hungarian_solve(rows, groups)
         want = brute_force_solve(cm)
         delta = abs(got.total_cost + (1e-3 if corrupt else 0.0) - want.total_cost)
         worst = max(worst, delta)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import clusterssl.assignment as assignment
 from clusterssl.assignment import (
@@ -77,15 +79,16 @@ def test_brute_force_equivalence_sweep(rng):
 
 
 def class_batch_cost(rng, k, b, c, duplicates=False, decimals=None):
-    """A clustering batch's cost: c one-hot targets of k classes against b unit outputs."""
+    """A clustering batch's solver input: the cost rows of the classes among c
+    bound targets of k classes against b unit outputs, and each target's row."""
     outputs = rng.normal(size=(b, k)) * rng.uniform(0.3, 5.0)
     if duplicates:
         outputs[rng.integers(0, b, size=b // 4)] = outputs[rng.integers(0, b, size=b // 4)]
     outputs /= np.linalg.norm(outputs, axis=1, keepdims=True)
     if decimals is not None:
         outputs = np.round(outputs, decimals)
-    targets = np.eye(k)[rng.integers(0, k, size=c)]
-    return ((targets[:, None, :] - outputs[None, :, :]) ** 2).sum(axis=2)
+    present, groups = np.unique(rng.integers(0, k, size=c), return_inverse=True)
+    return ((np.eye(k)[present][:, None, :] - outputs[None, :, :]) ** 2).sum(axis=2), groups
 
 
 def test_grouped_solve_matches_the_general_solver(rng):
@@ -95,34 +98,35 @@ def test_grouped_solve_matches_the_general_solver(rng):
         b = int(rng.integers(k, 65))
         c = int(rng.integers(max(1, b // 3), b + 1))
         style = trial % 3
-        cm = class_batch_cost(rng, k, b, c, duplicates=style == 1,
-                              decimals=2 if style == 2 else None)
-        want = assignment._solve_rect(cm)
-        got = assignment._solve_grouped(cm)
+        rows, groups = class_batch_cost(rng, k, b, c, duplicates=style == 1,
+                                        decimals=2 if style == 2 else None)
+        want = assignment._solve_rect(rows[groups])
+        got = assignment._solve_grouped(rows, groups)
         if got is not None:
             grouped += 1
             assert np.array_equal(got, want), (trial, k, b, c)
-        assert hungarian_solve(cm).cols == tuple(want.tolist()), (trial, k, b, c)
+        assert hungarian_solve(rows, groups).cols == tuple(want.tolist()), (trial, k, b, c)
     # the tie-free third of the batches alone should give 100 grouped solves
     assert grouped >= 100
 
 
 def test_tie_free_grouped_matrix_skips_the_general_solver(rng, monkeypatch):
-    cms = [class_batch_cost(rng, k, 64, c) for k, c in ((4, 64), (4, 60), (10, 34))]
-    want = [tuple(assignment._solve_rect(cm).tolist()) for cm in cms]
+    batches = [class_batch_cost(rng, k, 64, c) for k, c in ((4, 64), (4, 60), (10, 34))]
+    want = [tuple(assignment._solve_rect(rows[groups]).tolist()) for rows, groups in batches]
 
     def banned(cm):
         raise AssertionError("general solver reached")
 
     monkeypatch.setattr(assignment, "_solve_rect", banned)
-    assert [hungarian_solve(cm).cols for cm in cms] == want
+    assert [hungarian_solve(rows, groups).cols for rows, groups in batches] == want
 
 
 def test_partition_tie_falls_back_to_the_general_solver(monkeypatch):
     # columns 0 and 1 are the same image: either may join class 1, so the
     # optimal partition is not unique and the lexicographic rule decides
-    cm = np.array([[0.8, 0.8, 0.0], [0.8, 0.8, 0.0], [0.4, 0.4, 2.0]])
-    assert assignment._solve_grouped(cm) is None
+    rows = np.array([[0.8, 0.8, 0.0], [0.4, 0.4, 2.0]])
+    groups = np.array([0, 0, 1])
+    assert assignment._solve_grouped(rows, groups) is None
     calls = []
     general = assignment._solve_rect
 
@@ -131,18 +135,93 @@ def test_partition_tie_falls_back_to_the_general_solver(monkeypatch):
         return general(m)
 
     monkeypatch.setattr(assignment, "_solve_rect", spy)
-    sol = hungarian_solve(cm)
+    sol = hungarian_solve(rows, groups)
     assert len(calls) == 1
-    assert sol.cols == (0, 2, 1) == brute_force_solve(cm).cols
+    assert np.array_equal(calls[0], rows[groups])
+    assert sol.cols == (0, 2, 1) == brute_force_solve(rows[groups]).cols
     assert sol.total_cost == pytest.approx(1.2)
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([0, 2, 1], "index the 2 cost rows"),
+    ([-1, 0, 1], "index the 2 cost rows"),
+    ([0, 0, 0], "every cost row"),
+    ([[0, 1, 0]], "1-D integer"),
+    ([0.0, 1.0], "1-D integer"),
+    ([0, 1, 0, 1], "1 to 3 solver rows"),
+    ([], "1-D integer"),
+    (np.empty(0, dtype=np.int64), "1 to 3 solver rows"),
+])
+def test_rejects_bad_groups(groups, message):
+    rows = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    with pytest.raises(ValueError, match=message):
+        hungarian_solve(rows, np.asarray(groups))
+
+
+# derandomized and free of timing checks, so a run does not depend on machine speed
+PROPERTY = dict(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def grouped_rows(draw):
+    """(rows, groups): n integer-cost rows, c >= n solver rows using each, b <= 8 columns."""
+    b = draw(st.integers(1, 8))
+    c = draw(st.integers(1, b))
+    n = draw(st.integers(1, c))
+    extra = draw(st.lists(st.integers(0, n - 1), min_size=c - n, max_size=c - n))
+    groups = np.array(draw(st.permutations(list(range(n)) + extra)), dtype=np.int64)
+    rows = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=b, max_size=b),
+                                  min_size=n, max_size=n)), dtype=np.float64)
+    return rows, groups
+
+
+@settings(**PROPERTY, max_examples=300)
+@given(grouped_rows(), st.data())
+def test_grouped_solve_matches_brute_force(batch, data):
+    rows, groups = batch
+    # repeated columns are images the solver cannot tell apart
+    b = rows.shape[1]
+    rows = rows[:, data.draw(st.lists(st.integers(0, b - 1), min_size=b, max_size=b))]
+    got = hungarian_solve(rows, groups)
+    want = brute_force_solve(rows[groups])
+    assert got.cols == want.cols
+    assert abs(got.total_cost - want.total_cost) < 1e-9
+
+
+@st.composite
+def class_batches(draw):
+    """A batch's class rows and groups: K <= 10 classes, b <= 64 images."""
+    k = draw(st.integers(2, 10))
+    b = draw(st.integers(1, 64))
+    c = draw(st.integers(1, b))
+    classes = np.array(draw(st.lists(st.integers(0, k - 1), min_size=c, max_size=c)))
+    # a small grid of output values makes exact ties between images common
+    level = st.integers(0, 3) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    outputs = np.array(draw(st.lists(st.lists(level, min_size=k, max_size=k),
+                                     min_size=b, max_size=b)), dtype=np.float64)
+    outputs[outputs.max(axis=1) < 1e-3, 0] = 1.0  # a norm that can underflow
+    outputs /= np.linalg.norm(outputs, axis=1, keepdims=True)
+    present, groups = np.unique(classes, return_inverse=True)
+    return ((np.eye(k)[present][:, None, :] - outputs[None]) ** 2).sum(axis=2), groups
+
+
+@settings(**PROPERTY, max_examples=150)
+@given(class_batches())
+def test_grouped_batch_matches_the_expanded_matrix(batch):
+    rows, groups = batch
+    got = hungarian_solve(rows, groups)
+    want = hungarian_solve(rows[groups])
+    assert got.cols == want.cols
+    assert got.total_cost == want.total_cost
 
 
 def test_verify_hungarian_compares_the_map(monkeypatch):
     import clusterssl.verify as verify
 
-    def shifted(cm):
+    def shifted(cm, groups=None):
         # same reported total, different injective map whenever b > 1
-        sol = hungarian_solve(cm)
+        sol = hungarian_solve(cm, groups)
         b = np.asarray(cm).shape[1]
         return Assignment(tuple((j + 1) % b for j in sol.cols), sol.total_cost)
 

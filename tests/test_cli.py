@@ -104,6 +104,18 @@ def test_non_finite_config_number_is_exit_2_on_dry_run(tmp_path, capsys, block, 
     assert f"{block}.{field} must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base, block, field, value", [
+    (GMM_TRAIN, "split", "test_frac", 1.5), (GMM_TRAIN, "dataset", "separation", -1),
+    (GMM_TRAIN, "dataset", "k", 0), (SHAPES_TRAIN, "dataset", "size", 50),
+    (GMM_TRAIN, "dataset", "n", 2), (GMM_TRAIN, "split", "labels_per_class", 0),
+])
+def test_out_of_range_data_value_is_exit_2_on_dry_run(tmp_path, capsys, base, block, field, value):
+    cfg = json.loads(json.dumps(base))
+    cfg[block][field] = value
+    assert main(["train", "--config", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert f"{block}.{field} must be" in capsys.readouterr().err
+
+
 def test_negative_threads_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, GMM_TRAIN)
     assert main(["train", "--config", path, "--dry-run", "--threads", "-1"]) == 2

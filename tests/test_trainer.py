@@ -376,6 +376,18 @@ def test_fresh_run_clears_a_finished_runs_summary(tmp_path, small_gmm):
     assert sorted(os.listdir(out)) == sorted(["checkpoint.json", state["tensors"]["file"], "metrics.csv"])
 
 
+def test_fresh_run_into_a_used_directory_leaves_what_an_empty_one_gets(tmp_path, small_gmm):
+    # SMALL saves three checkpoints, so a run that continued the old
+    # manifest's slot alternation would end on the other tensor file
+    ds, split = small_gmm
+    empty, used = tmp_path / "empty", tmp_path / "used"
+    for out in (empty, used, used):
+        train(TrainConfig(**SMALL), ds, split, out_dir=str(out))
+    assert sorted(os.listdir(used)) == sorted(os.listdir(empty))
+    assert "checkpoint.a.cssr" in os.listdir(used)
+    assert (used / "checkpoint.json").read_bytes() == (empty / "checkpoint.json").read_bytes()
+
+
 def test_resume_under_other_thread_settings_warns_and_completes(tmp_path, small_gmm, monkeypatch,
                                                                  caplog):
     ds, split = small_gmm
