@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNASSIGNED = -1
+# the fewest clusters the clustering phase can separate
+MIN_CLUSTERS = 2
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ class TargetPool:
 
 def init_target_pool(n: int, k: int, alpha: float, rng: np.random.Generator) -> TargetPool:
     """floor(alpha*n/K) distinct images bound to each cluster."""
-    if k < 2:
-        raise ConfigurationError(f"k must be >= 2, got {k}")
+    if k < MIN_CLUSTERS:
+        raise ConfigurationError(f"k must be >= {MIN_CLUSTERS}, got {k}")
     if n < k:
         raise ConfigurationError(f"need n >= k, got n={n}, k={k}")
     per_cluster = int(alpha * n / k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .clustering import MIN_CLUSTERS
 from .data import check_gaussian_mixture, check_shape_images, check_split
 from .errors import ConfigurationError, check_type
 from .trainer import TrainConfig
@@ -145,10 +146,12 @@ def _normalize_dataset(block: dict) -> dict:
     merged.update(defaults)
     merged.update(block)
     _check_types(merged, defaults, "dataset")
+    # the generators can make one class, but the clustering phase needs two
     if gen == "gaussian_mixture":
-        check_gaussian_mixture(merged["k"], merged["n"], merged["d"], merged["separation"])
+        check_gaussian_mixture(merged["k"], merged["n"], merged["d"], merged["separation"],
+                               min_k=MIN_CLUSTERS)
     else:
-        check_shape_images(merged["k"], merged["n"], merged["size"])
+        check_shape_images(merged["k"], merged["n"], merged["size"], min_k=MIN_CLUSTERS)
     return merged
 
 

@@ -111,9 +111,15 @@ class DatasetSplit:
 # messages name the config key that holds each value.
 
 
-def check_gaussian_mixture(k: int, n: int, d: int, separation: float) -> None:
-    """Raise ConfigurationError unless make_gaussian_mixture accepts these values."""
-    for key, value in (("k", k), ("n", n), ("d", d)):
+def check_gaussian_mixture(k: int, n: int, d: int, separation: float, min_k: int = 1) -> None:
+    """Raise ConfigurationError unless make_gaussian_mixture accepts these values.
+
+    ``min_k`` raises the lower bound on k for a caller that needs more classes
+    than the generator does.
+    """
+    if k < min_k:
+        raise ConfigurationError(f"dataset.k must be >= {min_k}, got {k}")
+    for key, value in (("n", n), ("d", d)):
         if value < 1:
             raise ConfigurationError(f"dataset.{key} must be >= 1, got {value}")
     if n < k:
@@ -124,12 +130,15 @@ def check_gaussian_mixture(k: int, n: int, d: int, separation: float) -> None:
         raise ConfigurationError(f"dataset.d must be >= dataset.k for simplex means, got d={d} < k={k}")
 
 
-def check_shape_images(k: int, n: int, size: int) -> None:
-    """Raise ConfigurationError unless make_shape_images accepts these values."""
+def check_shape_images(k: int, n: int, size: int, min_k: int = 1) -> None:
+    """Raise ConfigurationError unless make_shape_images accepts these values.
+
+    ``min_k`` is as in check_gaussian_mixture.
+    """
     if not 8 <= size <= 32:
         raise ConfigurationError(f"dataset.size must be in [8, 32], got {size}")
-    if not 1 <= k <= len(SHAPE_NAMES):
-        raise ConfigurationError(f"dataset.k must be in [1, {len(SHAPE_NAMES)}], got {k}")
+    if not min_k <= k <= len(SHAPE_NAMES):
+        raise ConfigurationError(f"dataset.k must be in [{min_k}, {len(SHAPE_NAMES)}], got {k}")
     if n < k:
         raise ConfigurationError(f"dataset.n must be >= dataset.k (one image per class), got n={n} < k={k}")
 

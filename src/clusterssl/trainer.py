@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import THREAD_VARS, __version__
-from .assignment import clustering_accuracy, count_injections, murty_kbest
+from .assignment import clustering_accuracy, murty_kbest
 from .augment import rotate90_batch
 from .clustering import (
     TargetPool,
@@ -204,7 +204,8 @@ def topk_permutation_accuracy(
     Each labeled image votes with its prediction averaged over the four
     rotations; the vote matrix is ranked by the k-best solver and the
     curve reports the running best accuracy, so it is nondecreasing and
-    reaches the bijection optimum once k covers all K! permutations.
+    reaches the bijection optimum once k covers all K! permutations. It has
+    min(k, K!) entries.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -221,7 +222,7 @@ def topk_permutation_accuracy(
     score = np.zeros((kk, kk))
     np.add.at(score, labeled_labels, probs)
     cost = score.max() - score
-    ranked = murty_kbest(cost, min(k, count_injections(kk, kk)))
+    ranked = murty_kbest(cost, k)
 
     test_features = np.asarray(test_features, dtype=np.float64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
@@ -634,7 +635,7 @@ def train(
                 eval_model,
                 dataset.features[split.labeled_idx], dataset.labels[split.labeled_idx],
                 dataset.features[split.test_idx], dataset.labels[split.test_idx],
-                k=min(100, count_injections(dataset.k, dataset.k)),
+                k=100,  # every one of K! <= 100 permutations, else the best 100
                 temperature=cfg.logit_temperature,
             )
             summary["topk_curve"] = curve.tolist()

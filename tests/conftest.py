@@ -2,9 +2,18 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 # the vector-data rotation warning is expected noise in most trainer tests
 logging.getLogger("clusterssl.trainer").setLevel(logging.ERROR)
+
+# every property test runs derandomized and free of timing checks, so a run
+# does not depend on machine speed or on examples saved by an earlier run
+settings.register_profile(
+    "clusterssl", derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("clusterssl")
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clusterssl.assignment as assignment
@@ -158,11 +158,6 @@ def test_rejects_bad_groups(groups, message):
         hungarian_solve(rows, np.asarray(groups))
 
 
-# derandomized and free of timing checks, so a run does not depend on machine speed
-PROPERTY = dict(derandomize=True, database=None, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
-
-
 @st.composite
 def grouped_rows(draw):
     """(rows, groups): n integer-cost rows, c >= n solver rows using each, b <= 8 columns."""
@@ -176,7 +171,7 @@ def grouped_rows(draw):
     return rows, groups
 
 
-@settings(**PROPERTY, max_examples=300)
+@settings(max_examples=300)
 @given(grouped_rows(), st.data())
 def test_grouped_solve_matches_brute_force(batch, data):
     rows, groups = batch
@@ -206,7 +201,7 @@ def class_batches(draw):
     return ((np.eye(k)[present][:, None, :] - outputs[None]) ** 2).sum(axis=2), groups
 
 
-@settings(**PROPERTY, max_examples=150)
+@settings(max_examples=150)
 @given(class_batches())
 def test_grouped_batch_matches_the_expanded_matrix(batch):
     rows, groups = batch
@@ -232,6 +227,19 @@ def test_verify_hungarian_compares_the_map(monkeypatch):
     assert "|delta| = 0.000e+00" in res.detail and "map" in res.detail
 
 
+def test_verify_murty_checks_the_partitioning_path(monkeypatch):
+    import clusterssl.verify as verify
+
+    def skips_the_best(cm, k):
+        return assignment._kbest_partitioned(cm, k + 1)[1:]
+
+    assert verify.verify_murty(n_matrices=5, seed=0).passed
+    monkeypatch.setattr(verify, "_kbest_partitioned", skips_the_best)
+    res = verify.verify_murty(n_matrices=5, seed=0)
+    assert not res.passed
+    assert "matrix 0, partitioning" in res.detail
+
+
 def test_solution_is_valid_injection(rng):
     cm = rng.uniform(0, 5, size=(6, 9))
     sol = hungarian_solve(cm)
@@ -240,34 +248,120 @@ def test_solution_is_valid_injection(rng):
     assert sol.total_cost == pytest.approx(total_for(cm, sol.cols))
 
 
+# murty_kbest dispatches on the size of the space; the partitioning path is
+# also held to every ranking test directly
+RANKERS = (murty_kbest, assignment._kbest_partitioned)
+
+
 def test_murty_matches_enumeration(rng):
     rows = np.arange(4)
     for _ in range(40):
         cm = rng.uniform(0, 10, size=(4, 4))
-        got = [s.total_cost for s in murty_kbest(cm, 6)]
         want = sorted(
             total_for(cm, perm) for perm in itertools.permutations(range(4))
         )[:6]
-        assert np.allclose(got, want, atol=1e-9)
-        assert got == sorted(got)
+        for rank in RANKERS:
+            got = [s.total_cost for s in rank(cm, 6)]
+            assert np.allclose(got, want, atol=1e-9), rank
+            assert got == sorted(got)
 
 
 def test_murty_first_item_is_optimal(rng):
     cm = rng.uniform(0, 10, size=(5, 5))
-    ranked = murty_kbest(cm, 3)
-    assert ranked[0].cols == hungarian_solve(cm).cols
+    for rank in RANKERS:
+        assert rank(cm, 3)[0].cols == hungarian_solve(cm).cols, rank
 
 
 def test_murty_exhausts_solution_space(rng):
     cm = rng.uniform(0, 10, size=(3, 3))
-    ranked = murty_kbest(cm, 50)
-    assert len(ranked) == 6  # 3! total injections
-    assert len({s.cols for s in ranked}) == 6
+    for rank in RANKERS:
+        ranked = rank(cm, 50)
+        assert len(ranked) == 6  # 3! total injections
+        assert len({s.cols for s in ranked}) == 6
 
 
 def test_murty_rejects_bad_k(rng):
     with pytest.raises(ValueError):
         murty_kbest(np.zeros((2, 2)), 0)
+
+
+def enumerated_totals(cm):
+    c, b = cm.shape
+    maps = np.array(list(itertools.permutations(range(b), c)))
+    return sorted(cm[np.arange(c), maps].sum(axis=1).tolist())
+
+
+@st.composite
+def small_spaces(draw):
+    """(c, b): c <= b <= 12 with at most ENUMERATE_MAX_INJECTIONS injections.
+
+    Wider spaces within the bound, such as 2 x 201, take the partitioning
+    path seconds per example; test_murty_enumerates_spaces_within_the_bound
+    covers them.
+    """
+    c = draw(st.integers(1, 8))
+    widest = max(b for b in range(c, 13)
+                 if count_injections(c, b) <= assignment.ENUMERATE_MAX_INJECTIONS)
+    return c, draw(st.integers(c, widest))
+
+
+@settings(max_examples=150)
+@given(small_spaces(), st.data())
+def test_enumeration_and_partitioning_rank_tie_heavy_costs_alike(shape, data):
+    c, b = shape
+    cm = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=b, max_size=b),
+                                     min_size=c, max_size=c)), dtype=np.float64)
+    k = data.draw(st.integers(1, min(24, count_injections(c, b))))
+    want = enumerated_totals(cm)[:k]
+    for ranked in (assignment._kbest_enumerated(cm, k), assignment._kbest_partitioned(cm, k)):
+        # exact ties may come in either order, but integer totals are exact
+        assert [s.total_cost for s in ranked] == want
+        assert len({s.cols for s in ranked}) == k
+        assert all(s.total_cost == total_for(cm, s.cols) for s in ranked)
+
+
+@settings(max_examples=150)
+@given(small_spaces(), st.integers(0, 2**32 - 1), st.data())
+def test_enumeration_and_partitioning_rank_continuous_costs_alike(shape, seed, data):
+    # uniform draws are tie-free, so both paths must give the same maps in
+    # the same order, with totals equal bit for bit
+    c, b = shape
+    cm = np.random.default_rng(seed).uniform(0.0, 10.0, size=(c, b))
+    k = data.draw(st.integers(1, min(24, count_injections(c, b))))
+    ranked = assignment._kbest_enumerated(cm, k)
+    assert ranked == assignment._kbest_partitioned(cm, k)
+    assert ranked[0].cols == hungarian_solve(cm).cols
+    assert murty_kbest(cm, k) == ranked
+
+
+@pytest.mark.parametrize("c, b, k", [(9, 9, 30), (4, 16, 30)])
+def test_murty_ranks_spaces_above_the_bound_by_partitioning(rng, monkeypatch, c, b, k):
+    assert count_injections(c, b) > assignment.ENUMERATE_MAX_INJECTIONS
+    cm = rng.uniform(0, 10, size=(c, b))
+    want = assignment._kbest_enumerated(cm, k)
+
+    def banned(cm, k):
+        raise AssertionError("enumeration reached above the bound")
+
+    monkeypatch.setattr(assignment, "_kbest_enumerated", banned)
+    assert murty_kbest(cm, k) == want
+
+
+@pytest.mark.parametrize("c, b", [(1, 40320), (2, 201), (4, 15), (8, 8), (6, 6), (4, 4)])
+def test_murty_enumerates_spaces_within_the_bound(rng, monkeypatch, c, b):
+    cm = rng.uniform(0, 10, size=(c, b))
+
+    def banned(cm, k):
+        raise AssertionError("partitioning reached within the bound")
+
+    monkeypatch.setattr(assignment, "_kbest_partitioned", banned)
+    assert [s.total_cost for s in murty_kbest(cm, 5)] == enumerated_totals(cm)[:5]
+
+
+def test_enumeration_lists_exact_ties_in_lexicographic_order():
+    # all six maps of an all-zero 3 x 3 matrix tie
+    ranked = murty_kbest(np.zeros((3, 3)), 6)
+    assert [s.cols for s in ranked] == list(itertools.permutations(range(3)))
 
 
 def test_count_injections():

@@ -116,6 +116,33 @@ def test_out_of_range_data_value_is_exit_2_on_dry_run(tmp_path, capsys, base, bl
     assert f"{block}.{field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base, k, message", [
+    (GMM_TRAIN, 1, "dataset.k must be >= 2, got 1"),
+    (SHAPES_TRAIN, 1, "dataset.k must be in [2, 6], got 1"),
+    (SHAPES_TRAIN, 7, "dataset.k must be in [2, 6], got 7"),
+], ids=["gaussian_mixture-1", "shapes-1", "shapes-7"])
+def test_generator_k_outside_the_clustering_range_is_exit_2_on_dry_run(
+        tmp_path, capsys, base, k, message):
+    # the generators can make one class, but the clustering phase needs two
+    cfg = json.loads(json.dumps(base))
+    cfg["dataset"]["k"] = k
+    assert main(["train", "--config", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_one_class_dataset_file_is_exit_2_on_train(tmp_path, capsys):
+    from clusterssl.data import make_gaussian_mixture, save_dataset
+
+    data = str(tmp_path / "one.cssr")
+    save_dataset(data, make_gaussian_mixture(1, 60, 8, 6.0, seed=0))
+    cfg = dict(GMM_TRAIN, dataset={"path": data})
+    path = write_cfg(tmp_path, cfg)
+    assert main(["train", "--config", path, "--dry-run"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 2
+    assert "k must be >= 2, got 1" in capsys.readouterr().err
+
+
 def test_negative_threads_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, GMM_TRAIN)
     assert main(["train", "--config", path, "--dry-run", "--threads", "-1"]) == 2
