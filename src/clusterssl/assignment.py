@@ -430,9 +430,11 @@ def _kbest_partitioned(cm: np.ndarray, k: int) -> list[Assignment]:
         raise ValueError("infeasible assignment problem")
     heapq.heappush(heap, (root[1], next(seq), [], frozenset(), root[0]))
     out: list[Assignment] = []
-    while heap and len(out) < k:
+    while heap:
         total, _, fixed, banned, colmap = heapq.heappop(heap)
         out.append(Assignment(colmap, total))
+        if len(out) == k:  # no child of the k-th solution can be returned
+            break
         fixed_rows = {i for i, _ in fixed}
         free_rows = [i for i in range(c) if i not in fixed_rows]
         grown = list(fixed)

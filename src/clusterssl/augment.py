@@ -16,9 +16,10 @@ are the reference behavior. Ops with zero magnitude are skipped outright
 so an all-zero AugmentSpec is an exact identity. Every draw comes from
 the generator the caller hands in, so outputs are byte-reproducible.
 
-Image batches run in two passes. `draw_images` first makes one sized draw
-per op for all n images that use it; an op of zero magnitude draws
-nothing, and no draw depends on a pixel. The draw order is:
+An image batch is augmented op by op: each op makes one sized draw for
+all n images it touches and changes them at once. An op of zero
+magnitude draws nothing, and no draw depends on a pixel. The draw order
+is:
 
 * weak and cluster: the jitter field (n, *shape) (cluster only), the
   flips (n,), then the shifts (n, 2) as (dy, dx).
@@ -28,11 +29,9 @@ nothing, and no draw depends on a pixel. The draw order is:
   jitter its field (m, *shape), contrast its factors (m,), noise its field
   (m, *shape); then the cutout centres (n, 2).
 
-`apply_batch` then applies each op once to all the images that drew it:
-translate is one gather of mirrored indices, flips reverse an axis, jitter
-and noise add the drawn fields, contrast scales each image about its mean
-as it stands, cutout is a mask, and the strong pipeline's slot 0 runs
-before its slot 1.
+Translate is one gather of mirrored indices, flips reverse an axis,
+jitter and noise add the drawn fields, contrast scales each image about
+its mean as it stands, and cutout is a mask.
 """
 
 from __future__ import annotations
@@ -110,28 +109,26 @@ def _translate(xs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return xs[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]
 
 
-@dataclass(frozen=True)
-class ImageDraws:
-    """Everything one image batch drew; None (or no group) where nothing was drawn."""
-
-    field: np.ndarray | None = None  # cluster jitter, (n, *shape)
-    flips: np.ndarray | None = None  # (n,) bool
-    shifts: np.ndarray | None = None  # (n, 2) int (dy, dx)
-    ops: np.ndarray | None = None  # strong op indices into _STRONG_OPS, (n, 2)
-    groups: tuple = ()  # strong (op, image indices, values), in draw and apply order
-    centres: np.ndarray | None = None  # strong cutout centres, (n, 2)
-
-
 def _shift_bound(spec: AugmentSpec) -> np.ndarray:
     """Largest shift (dy, dx) a translate may draw."""
     return np.array([round(d * spec.max_translate_frac) for d in spec.data_shape[:2]])
 
 
-def _draw_strong(spec: AugmentSpec, n: int, rng: np.random.Generator) -> ImageDraws:
-    shape, s, sigma = spec.data_shape, spec.jitter_strength, spec.noise_sigma
-    bound = _shift_bound(spec)
+def _apply_images(spec: AugmentSpec, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The image pipeline over the batch, op by op in the module docstring's order."""
+    n, shape, bound = len(xs), spec.data_shape, _shift_bound(spec)
+    if spec.kind != "strong":
+        s = spec.jitter_strength if spec.kind == "cluster" else 0.0
+        out = xs + rng.uniform(-s, s, size=(n,) + shape) if s else xs.copy()
+        if spec.flip_prob:
+            flips = rng.random(n) < spec.flip_prob
+            out[flips] = out[flips, :, ::-1]
+        if bound.any():
+            out = _translate(out, rng.integers(-bound, bound + 1, size=(n, 2)))
+        return out
+    s, sigma = spec.jitter_strength, spec.noise_sigma
+    out = xs.copy()
     active = (bound.any(), s, s, sigma)  # in _STRONG_OPS order
-    ops, groups = None, []
     if any(active):
         ops = rng.integers(0, len(_STRONG_OPS), size=(n, _N_STRONG_DRAWS))
         for slot in range(_N_STRONG_DRAWS):
@@ -139,53 +136,24 @@ def _draw_strong(spec: AugmentSpec, n: int, rng: np.random.Generator) -> ImageDr
                 idx = np.flatnonzero(ops[:, slot] == op_idx)
                 if not (active[op_idx] and idx.size):
                     continue
+                sub = out[idx]
                 if op == "translate":
-                    values = rng.integers(-bound, bound + 1, size=(idx.size, 2))
+                    sub = _translate(sub, rng.integers(-bound, bound + 1, size=(idx.size, 2)))
                 elif op == "jitter":
-                    values = rng.uniform(-s, s, size=(idx.size,) + shape)
+                    sub += rng.uniform(-s, s, size=(idx.size,) + shape)
                 elif op == "contrast":
-                    values = 1.0 + rng.uniform(-s, s, size=idx.size)
+                    factors = 1.0 + rng.uniform(-s, s, size=idx.size)
+                    mean = sub.mean(axis=tuple(range(1, sub.ndim)), keepdims=True)
+                    sub = mean + (sub - mean) * factors.reshape(mean.shape)
                 else:
-                    values = rng.normal(0.0, sigma, size=(idx.size,) + shape)
-                groups.append((op, idx, values))
-    centres = rng.integers(0, shape[:2], size=(n, 2)) if spec.cutout_frac else None
-    return ImageDraws(ops=ops, groups=tuple(groups), centres=centres)
-
-
-def draw_images(spec: AugmentSpec, n: int, rng: np.random.Generator) -> ImageDraws:
-    """The draws of an image pipeline for n images, in the module docstring's order."""
-    if spec.kind == "strong":
-        return _draw_strong(spec, n, rng)
-    s = spec.jitter_strength if spec.kind == "cluster" else 0.0
-    bound = _shift_bound(spec)
-    return ImageDraws(
-        field=rng.uniform(-s, s, size=(n,) + spec.data_shape) if s else None,
-        flips=rng.random(n) < spec.flip_prob if spec.flip_prob else None,
-        shifts=rng.integers(-bound, bound + 1, size=(n, 2)) if bound.any() else None,
-    )
-
-
-def _apply_images(spec: AugmentSpec, xs: np.ndarray, d: ImageDraws) -> np.ndarray:
-    out = xs + d.field if d.field is not None else xs.copy()
-    if d.flips is not None:
-        out[d.flips] = out[d.flips, :, ::-1]
-    if d.shifts is not None:
-        out = _translate(out, d.shifts)
-    for op, idx, values in d.groups:
-        sub = out[idx]
-        if op == "translate":
-            sub = _translate(sub, values)
-        elif op == "contrast":
-            mean = sub.mean(axis=tuple(range(1, sub.ndim)), keepdims=True)
-            sub = mean + (sub - mean) * values.reshape(mean.shape)
-        else:
-            sub += values
-        out[idx] = sub
-    if d.centres is not None:
-        h, w = xs.shape[1:3]
+                    sub += rng.normal(0.0, sigma, size=(idx.size,) + shape)
+                out[idx] = sub
+    if spec.cutout_frac:
+        h, w = shape[:2]
+        centres = rng.integers(0, (h, w), size=(n, 2))
         side = np.array([max(1, round(dim * np.sqrt(spec.cutout_frac))) for dim in (h, w)])
-        lo = np.maximum(0, d.centres - side // 2)
-        hi = np.minimum((h, w), d.centres - side // 2 + side)
+        lo = np.maximum(0, centres - side // 2)
+        hi = np.minimum((h, w), centres - side // 2 + side)
         in_y = (lo[:, :1] <= np.arange(h)) & (np.arange(h) < hi[:, :1])
         in_x = (lo[:, 1:] <= np.arange(w)) & (np.arange(w) < hi[:, 1:])
         out[in_y[:, :, None] & in_x[:, None, :]] = 0.0
@@ -215,4 +183,4 @@ def apply_batch(spec: AugmentSpec, xs, rng: np.random.Generator) -> np.ndarray:
         # vector pipelines vectorize over the whole batch
         out = _apply_vector(spec, xs, rng)
         return out if out is not xs else xs.copy()
-    return _apply_images(spec, xs, draw_images(spec, len(xs), rng))
+    return _apply_images(spec, xs, rng)

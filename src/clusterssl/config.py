@@ -184,7 +184,10 @@ def build_experiment(cfg: ExperimentConfig):
 
     block = cfg.dataset
     if "path" in block:
-        ds = load_dataset(block["path"])
+        try:
+            ds = load_dataset(block["path"])
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot load dataset.path {block['path']}: {exc}") from None
     elif block["generator"] == "gaussian_mixture":
         ds = make_gaussian_mixture(
             block["k"], block["n"], block["d"], block["separation"], block["seed"]

@@ -82,7 +82,6 @@ class DatasetSplit:
     labeled_by_class: tuple[np.ndarray, ...]
     unlabeled_idx: np.ndarray
     test_idx: np.ndarray
-    seed: int
 
     @property
     def labeled_idx(self) -> np.ndarray:
@@ -247,7 +246,7 @@ def partition(ds: Dataset, labels_per_class: int, test_frac: float, seed: int) -
         labeled.append(np.sort(pool[:labels_per_class]).astype(np.int64))
     unlabeled = np.sort(np.concatenate(train_parts)).astype(np.int64)
     test_idx = np.sort(np.concatenate(test_parts)).astype(np.int64)
-    return DatasetSplit(tuple(labeled), unlabeled, test_idx, seed)
+    return DatasetSplit(tuple(labeled), unlabeled, test_idx)
 
 
 def write_record(fh, arr: np.ndarray) -> None:

@@ -88,7 +88,6 @@ def unlabeled_loss_grads(
 
 @dataclass
 class SslStepStats:
-    loss_total: float
     loss_s: float
     loss_u: float
     n_confident: int
@@ -116,10 +115,9 @@ def ssl_step(
     grads = np.multiply(grads_u, cfg.lambda_u, out=opt.scratch)
     loss_s, grads_s = labeled_loss_grads(model, labeled_x, labeled_y, weak_spec, temperature, rng)
     grads += grads_s
-    total = loss_s + cfg.lambda_u * loss_u
     opt.step(model, grads, cfg.lr_ssl, cfg.wd_ssl)
     ema.update(model.params)
-    return SslStepStats(total, loss_s, loss_u, n_conf, int(np.asarray(unlabeled_x).shape[0]))
+    return SslStepStats(loss_s, loss_u, n_conf, int(np.asarray(unlabeled_x).shape[0]))
 
 
 @dataclass
@@ -127,7 +125,6 @@ class SslEpochStats:
     loss_s: float
     loss_u: float
     mask_rate: float
-    steps: int
 
 
 class _LabeledCycler:
@@ -180,7 +177,6 @@ def run_epoch(
     losses_s, losses_u = [], []
     conf_total = 0
     unl_total = 0
-    steps = 0
     with model.epoch():
         for start in range(0, order.shape[0], chunk_size):
             chunk = order[start : start + chunk_size]
@@ -193,11 +189,9 @@ def run_epoch(
             losses_u.append(stats.loss_u)
             conf_total += stats.n_confident
             unl_total += stats.n_unlabeled
-            steps += 1
     mask_rate = conf_total / unl_total if unl_total else 0.0
     return SslEpochStats(
         float(np.mean(losses_s)) if losses_s else float("nan"),
         float(np.mean(losses_u)) if losses_u else float("nan"),
         mask_rate,
-        steps,
     )

@@ -29,7 +29,6 @@ from .clustering import (
     clustering_epoch,
     flatten,
     init_target_pool,
-    rotation_accuracy,
     rotation_epoch,
 )
 from .data import Dataset, DatasetSplit, read_record, write_record
@@ -46,12 +45,6 @@ _CHECKPOINT_KEYS = (
     "version", "iteration", "arch", "ema_decay", "pool", "rng_state", "config", "rows",
     "tensors", "environment",
 )
-# keys whose value is an object, with the keys it must hold
-_OBJECT_KEYS = {
-    "arch": ("in_dim", "hidden_sizes", "k", "leaky_slope"),
-    "tensors": ("file", "bytes", "crc32"),
-    "environment": (*THREAD_VARS, "numpy"),
-}
 # the records of the tensor file, in order
 _TENSOR_KEYS = ("params", "ema_shadow", "velocity")
 
@@ -135,6 +128,16 @@ class TrainConfig:
         return cls(**d)
 
 
+# keys whose value is an object, with the keys it must hold; a checkpoint's
+# config holds every TrainConfig field, so no default fills a gap
+_OBJECT_KEYS = {
+    "arch": ("in_dim", "hidden_sizes", "k", "leaky_slope"),
+    "config": tuple(f.name for f in fields(TrainConfig)),
+    "tensors": ("file", "bytes", "crc32"),
+    "environment": (*THREAD_VARS, "numpy"),
+}
+
+
 @dataclass
 class RunRecord:
     """Everything a finished (or aborted) run produced."""
@@ -143,7 +146,6 @@ class RunRecord:
     summary: dict
     model: Model
     ema: EmaState
-    pool: TargetPool | None
 
     def csv_text(self) -> str:
         return rows_to_csv(self.rows)
@@ -398,6 +400,10 @@ def load_checkpoint(path: str) -> dict:
             missing += [f"{key}.{name}" for name in inner if name not in state[key]]
     if missing:
         raise ValueError(f"checkpoint {path} lacks key(s): {', '.join(missing)}")
+    try:
+        TrainConfig.from_dict(state["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: config is not a valid TrainConfig: {exc}") from None
     params, ema_shadow, velocity = _read_tensors(path, state["tensors"])
     try:
         model = Model.from_arch(state["arch"], params)
@@ -455,15 +461,12 @@ class _Driver:
 
         self.in_dim = int(np.prod(dataset.item_shape))
 
-    def fresh_state(self, model: Model | None = None) -> None:
+    def fresh_state(self) -> None:
         cfg = self.cfg
         self.rng = np.random.default_rng(cfg.seed)
-        if model is None:
-            model = Model(
-                self.in_dim, cfg.hidden_sizes, self.dataset.k, cfg.leaky_slope, rng=self.rng
-            )
-        check_fit(model, None, self.dataset, self.split)
-        self.model = model
+        self.model = Model(
+            self.in_dim, cfg.hidden_sizes, self.dataset.k, cfg.leaky_slope, rng=self.rng
+        )
         self.pool = init_target_pool(self.unl_features.shape[0], self.dataset.k, cfg.alpha, self.rng)
         self.opt = Sgd(self.model.n_params, cfg.momentum)
         self.ema = EmaState(self.model.params, cfg.ema_decay)
@@ -577,7 +580,6 @@ def train(
     split: DatasetSplit,
     out_dir: str | None = None,
     resume_from: str | None = None,
-    model: Model | None = None,
     on_cluster_epoch=None,
 ) -> RunRecord:
     """Run the full alternation schedule; returns the record of the run.
@@ -585,20 +587,18 @@ def train(
     With ``out_dir`` set, metrics.csv and the checkpoint (checkpoint.json
     and the tensor file it names) are refreshed after warmup and after every
     outer iteration, and summary.json at the end; a fresh run removes an
-    earlier run's summary.json before its first write. On divergence the last finite checkpoint is kept and the error
-    re-raised. ``model`` continues training from an existing network
-    instead of a fresh one. ``on_cluster_epoch(pool, iter, epoch)`` is an
-    instrumentation hook invoked after every clustering epoch.
+    earlier run's summary.json before its first write. On divergence the
+    last finite checkpoint is kept and the error re-raised.
+    ``on_cluster_epoch(pool, iter, epoch)`` is an instrumentation hook
+    invoked after every clustering epoch.
     """
     if cfg.iters > 0 and cfg.e1 > 0 and split.labeled_idx.size == 0:
         raise ConfigurationError("semi-supervised epochs (e1 > 0) need at least one labeled image")
     driver = _Driver(cfg, dataset, split, out_dir)
     if resume_from is not None:
-        if model is not None:
-            raise ConfigurationError("pass either resume_from or model, not both")
         driver.resume_state(resume_from)
     else:
-        driver.fresh_state(model)
+        driver.fresh_state()
         driver.run_warmup()
         if out_dir is not None:
             with suppress(FileNotFoundError):
@@ -644,14 +644,4 @@ def train(
         with _atomic_open(os.path.join(out_dir, "summary.json")) as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-    return RunRecord(driver.rows, summary, driver.model, driver.ema, driver.pool)
-
-
-def warmup_rotation_accuracy(cfg: TrainConfig, dataset: Dataset, split: DatasetSplit) -> float:
-    """Rotation-head accuracy on the test images right after warmup."""
-    driver = _Driver(cfg, dataset, split, None)
-    if not driver.rot_ok:
-        raise ConfigurationError("rotation accuracy needs square image data")
-    driver.fresh_state()
-    driver.run_warmup()
-    return rotation_accuracy(driver.model, dataset.features[split.test_idx])
+    return RunRecord(driver.rows, summary, driver.model, driver.ema)

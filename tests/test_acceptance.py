@@ -14,10 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from clusterssl.clustering import UNASSIGNED, flatten
+from clusterssl.clustering import UNASSIGNED, flatten, rotation_accuracy
 from clusterssl.data import make_gaussian_mixture, make_shape_images, partition
 from clusterssl.network import Model
-from clusterssl.trainer import TrainConfig, evaluate, train, warmup_rotation_accuracy
+from clusterssl.trainer import TrainConfig, evaluate, train
 from clusterssl.verify import verify_gradients, verify_hungarian, verify_murty
 
 
@@ -277,11 +277,11 @@ def test_criterion_09_determinism_and_resume(determinism_runs):
 
 def test_criterion_10_rotation_pathway(shapes800, shapes_split, rotnet_runs,
                                        tmp_path_factory):
-    rot_accs = [
-        warmup_rotation_accuracy(
-            TrainConfig(warmup_rot_epochs=10, seed=seed), shapes800, shapes_split)
-        for seed in range(5)
-    ]
+    # iters=0 stops the run right after warmup; its model is the warmed-up network
+    warmed = [train(TrainConfig(iters=0, warmup_rot_epochs=10, seed=seed), shapes800, shapes_split)
+              for seed in range(5)]
+    rot_accs = [rotation_accuracy(rec.model, shapes800.features[shapes_split.test_idx])
+                for rec in warmed]
     rot_ok = min(rot_accs) > 0.90
 
     with_rot, without_rot = rotnet_runs

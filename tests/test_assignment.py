@@ -240,6 +240,21 @@ def test_verify_murty_checks_the_partitioning_path(monkeypatch):
     assert "matrix 0, partitioning" in res.detail
 
 
+def test_partitioning_stops_at_the_kth_solution(rng, monkeypatch):
+    cm = rng.uniform(0, 10, size=(6, 6))
+    want = assignment._kbest_enumerated(cm, 1)
+    calls = []
+    general = assignment._solve_rect
+
+    def spy(m):
+        calls.append(m)
+        return general(m)
+
+    monkeypatch.setattr(assignment, "_solve_rect", spy)
+    assert assignment._kbest_partitioned(cm, 1) == want
+    assert len(calls) == 1  # the root; none of its children
+
+
 def test_solution_is_valid_injection(rng):
     cm = rng.uniform(0, 5, size=(6, 9))
     sol = hungarian_solve(cm)

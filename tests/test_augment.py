@@ -2,15 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clusterssl.augment import (
-    KINDS,
-    AugmentSpec,
-    apply_batch,
-    draw_images,
-    rotate90_batch,
-    spec_for,
-)
+from clusterssl.augment import KINDS, AugmentSpec, apply_batch, rotate90_batch, spec_for
 
 
 IMG = (8, 8)
@@ -119,8 +114,53 @@ def test_translate_stays_within_bound(rng):
         assert abs(iy - 4) <= 1 and abs(ix - 4) <= 1
 
 
-# Per-image reference for the batched image pipelines: the drawn parameters
-# applied to one image at a time, translate through np.pad.
+def documented_draws(spec, n, rng):
+    """The draws of spec's image pipeline for n images, one call at a time in the
+    module docstring's order, as (op, image indices, values) triples; every draw
+    but a strong op group covers all n images."""
+    shape, s, sigma = spec.data_shape, spec.jitter_strength, spec.noise_sigma
+    my, mx = (round(d * spec.max_translate_frac) for d in shape[:2])
+    lo, hi = (-my, -mx), (my + 1, mx + 1)  # translate bounds
+    every = np.arange(n)
+    out = []
+    if spec.kind != "strong":
+        if spec.kind == "cluster" and s:
+            out.append(("jitter", every, rng.uniform(-s, s, size=(n,) + shape)))
+        if spec.flip_prob:
+            out.append(("flip", every, rng.random(size=n) < spec.flip_prob))
+        if my or mx:
+            out.append(("translate", every, rng.integers(lo, hi, size=(n, 2))))
+        return out
+    active = (my or mx, s, s, sigma)  # translate, jitter, contrast, noise
+    if any(active):
+        ops = rng.integers(0, 4, size=(n, 2))
+        out.append(("choice", every, ops))
+        for slot in (0, 1):
+            for op in range(4):
+                idx = np.flatnonzero(ops[:, slot] == op)
+                m = idx.size
+                if not (m and active[op]):
+                    continue
+                if op == 0:
+                    out.append(("translate", idx, rng.integers(lo, hi, size=(m, 2))))
+                elif op == 1:
+                    out.append(("jitter", idx, rng.uniform(-s, s, size=(m,) + shape)))
+                elif op == 2:
+                    out.append(("contrast", idx, 1.0 + rng.uniform(-s, s, size=m)))
+                else:
+                    out.append(("noise", idx, rng.normal(0.0, sigma, size=(m,) + shape)))
+    if spec.cutout_frac:
+        out.append(("cutout", every, rng.integers(0, shape[:2], size=(n, 2))))
+    return out
+
+
+def drawn(draws, op):
+    """Every value drawn for op, over all of its draws."""
+    return np.concatenate([values for name, _, values in draws if name == op])
+
+
+# Per-image reference for the batched image pipelines: the documented draws
+# applied to one image at a time in draw order, translate through np.pad.
 
 def _ref_translate(x, shift):
     dy, dx = (int(v) for v in shift)
@@ -145,33 +185,29 @@ def _ref_cutout(x, frac, centre):
 
 
 def reference_image(spec, x, draws, i):
-    if draws.field is not None:
-        x = x + draws.field[i]
-    if draws.flips is not None and draws.flips[i]:
-        x = np.ascontiguousarray(x[:, ::-1])
-    if draws.shifts is not None:
-        x = _ref_translate(x, draws.shifts[i])
-    for op, idx, values in draws.groups:  # slot 0's groups come before slot 1's
+    for op, idx, values in draws:
         hit = np.flatnonzero(idx == i)
-        if not hit.size:
+        if op == "choice" or not hit.size:
             continue
         value = values[hit[0]]
-        if op == "translate":
+        if op == "flip":
+            x = np.ascontiguousarray(x[:, ::-1]) if value else x
+        elif op == "translate":
             x = _ref_translate(x, value)
         elif op == "contrast":
             mean = x.mean()
             x = mean + (x - mean) * value
-        else:
+        elif op == "cutout":
+            x = _ref_cutout(x, spec.cutout_frac, value)
+        else:  # jitter and noise
             x = x + value
-    if draws.centres is not None:
-        x = _ref_cutout(x, spec.cutout_frac, draws.centres[i])
     return x
 
 
 def assert_matches_reference(spec, xs, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = apply_batch(spec, xs, rng)
-    draws = draw_images(spec, len(xs), ref_rng)
+    draws = documented_draws(spec, len(xs), ref_rng)
     want = np.stack([reference_image(spec, x, draws, i) for i, x in enumerate(xs)]) if len(xs) else xs
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (spec, seed)
@@ -206,85 +242,51 @@ def test_contrast_after_translate_sums_like_the_reference():
         assert_matches_reference(spec, data, seed)
 
 
-def documented_draws(spec, n, rng):
-    """The draws of spec's pipeline for n images, one call at a time in the documented
-    order; a strong op group gives its image indices, then its values."""
-    shape, s, sigma = spec.data_shape, spec.jitter_strength, spec.noise_sigma
-    my, mx = (round(d * spec.max_translate_frac) for d in shape[:2])
-    out = []
-    if spec.kind != "strong":
-        if spec.kind == "cluster" and s:
-            out.append(rng.uniform(-s, s, size=(n,) + shape))
-        if spec.flip_prob:
-            out.append(rng.random(size=n) < spec.flip_prob)
-        if my or mx:
-            out.append(rng.integers((-my, -mx), (my + 1, mx + 1), size=(n, 2)))
-        return out
-    active = (my or mx, s, s, sigma)  # translate, jitter, contrast, noise
-    if any(active):
-        ops = rng.integers(0, 4, size=(n, 2))
-        out.append(ops)
-        for slot in (0, 1):
-            for op in range(4):
-                idx = np.flatnonzero(ops[:, slot] == op)
-                m = idx.size
-                if not (m and active[op]):
-                    continue
-                out.append(idx)
-                if op == 0:
-                    out.append(rng.integers((-my, -mx), (my + 1, mx + 1), size=(m, 2)))
-                elif op == 1:
-                    out.append(rng.uniform(-s, s, size=(m,) + shape))
-                elif op == 2:
-                    out.append(1.0 + rng.uniform(-s, s, size=m))
-                else:
-                    out.append(rng.normal(0.0, sigma, size=(m,) + shape))
-    if spec.cutout_frac:
-        out.append(rng.integers(0, shape[:2], size=(n, 2)))
-    return out
+@st.composite
+def image_specs(draw, kind):
+    """An image spec of any shape up to 12 a side, each magnitude zero or in range."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    shape += draw(st.sampled_from([(), (1,), (3,)]))
+    magnitude = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    return AugmentSpec(kind=kind, data_shape=shape,
+                       **{name: draw(magnitude) for name in MAGNITUDES})
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_draws_follow_the_documented_order(kind):
-    base = spec_for(kind, (6, 10))
-    specs = [base, replace(base, max_translate_frac=1.0)]
-    specs += [replace(base, **{name: 0.0}) for name in MAGNITUDES]
-    for spec in specs:
-        for seed in range(5):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            d = draw_images(spec, 40, rng)
-            groups = [a for _, idx, values in d.groups for a in (idx, values)]
-            got = [a for a in (d.field, d.flips, d.shifts, d.ops, *groups, d.centres) if a is not None]
-            want = documented_draws(spec, 40, ref_rng)
-            assert len(got) == len(want), (spec, seed)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b), (spec, seed)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state, (spec, seed)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_draws_follow_the_documented_order(kind, data):
+    # the whole batch, bytes and generator state, against the per-image reference
+    spec = data.draw(image_specs(kind))
+    n, seed = data.draw(st.integers(0, 16)), data.draw(st.integers(0, 2**32 - 1))
+    xs = np.random.default_rng(seed).normal(size=(n,) + spec.data_shape)
+    assert_matches_reference(spec, xs, seed)
 
 
-# The per-batch draws have the distributions the per-image pipeline had.
+# The per-batch draws have the distributions the per-image pipeline had;
+# the tests above tie apply_batch to documented_draws.
 N_IMAGES = 10_000
 
 
 def test_flip_rate_is_flip_prob():
     for p in (0.5, 0.2):
-        flips = draw_images(spec_for("weak", IMG, flip_prob=p), N_IMAGES, np.random.default_rng(0)).flips
+        spec = spec_for("weak", IMG, flip_prob=p)
+        flips = drawn(documented_draws(spec, N_IMAGES, np.random.default_rng(0)), "flip")
         assert abs(flips.mean() - p) < 0.02
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_shift_within_the_bound_occurs(kind):
     spec = spec_for(kind, (8, 12), max_translate_frac=0.25)  # bound (2, 3)
-    d = draw_images(spec, N_IMAGES, np.random.default_rng(1))
-    shifts = d.shifts if kind != "strong" else np.concatenate(
-        [values for op, _, values in d.groups if op == "translate"])
+    shifts = drawn(documented_draws(spec, N_IMAGES, np.random.default_rng(1)), "translate")
     assert len(shifts) > N_IMAGES / 5
     assert set(shifts[:, 0].tolist()) == set(range(-2, 3))
     assert set(shifts[:, 1].tolist()) == set(range(-3, 4))
 
 
 def test_each_strong_op_is_chosen_a_quarter_of_the_time():
-    ops = draw_images(spec_for("strong", IMG), N_IMAGES, np.random.default_rng(2)).ops
+    draws = documented_draws(spec_for("strong", IMG), N_IMAGES, np.random.default_rng(2))
+    ops = drawn(draws, "choice")
     assert ops.shape == (N_IMAGES, 2)
     for slot in range(2):
         rates = np.bincount(ops[:, slot], minlength=4) / N_IMAGES
@@ -293,8 +295,8 @@ def test_each_strong_op_is_chosen_a_quarter_of_the_time():
 
 def test_contrast_factors_lie_within_the_strength():
     s = 0.2
-    d = draw_images(spec_for("strong", IMG, jitter_strength=s), N_IMAGES, np.random.default_rng(3))
-    factors = np.concatenate([values for op, _, values in d.groups if op == "contrast"])
+    spec = spec_for("strong", IMG, jitter_strength=s)
+    factors = drawn(documented_draws(spec, N_IMAGES, np.random.default_rng(3)), "contrast")
     assert len(factors) > N_IMAGES / 5
     assert factors.min() >= 1 - s and factors.max() <= 1 + s
     assert factors.min() < 1 - 0.95 * s and factors.max() > 1 + 0.95 * s

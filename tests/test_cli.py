@@ -143,6 +143,20 @@ def test_one_class_dataset_file_is_exit_2_on_train(tmp_path, capsys):
     assert "k must be >= 2, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [(None, "No such file"),
+                                              (b"CSSR\x01\x00", "truncated record header")],
+                         ids=["missing", "truncated"])
+def test_unreadable_dataset_file_is_exit_2(tmp_path, capsys, content, message):
+    data = tmp_path / "data.cssr"
+    if content is not None:
+        data.write_bytes(content)
+    path = write_cfg(tmp_path, dict(GMM_TRAIN, dataset={"path": str(data)}))
+    for command in (["train"], ["eval", "--checkpoint", str(tmp_path / "ck.json")]):
+        assert main([*command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load dataset.path {data}" in err and message in err
+
+
 def test_negative_threads_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, GMM_TRAIN)
     assert main(["train", "--config", path, "--dry-run", "--threads", "-1"]) == 2
@@ -262,8 +276,14 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
     flipped = bytearray(tensors)
     flipped[-100] ^= 1
     no_hidden = dict(good, arch={k: v for k, v in good["arch"].items() if k != "hidden_sizes"})
+    # a config lacking a field is refused, not filled from the defaults
+    no_temperature = dict(good, config={k: v for k, v in good["config"].items()
+                                        if k != "logit_temperature"})
+    text_tau = dict(good, config=dict(good["config"], tau="high"))
     for state, data, message in ((good, None, "cannot read tensor file"),
                                  (no_hidden, tensors, "arch.hidden_sizes"),
+                                 (no_temperature, tensors, "config.logit_temperature"),
+                                 (text_tau, tensors, "train.tau must be a number"),
                                  (good, tensors[:100], "params record"),
                                  (good, tensors[:100], "truncated record payload at offset 11"),
                                  (good, bytes(flipped), "tensors.crc32")):
@@ -274,8 +294,8 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
         else:
             tensor_path.write_bytes(data)
         assert main(["eval", "--config", path, "--checkpoint", str(broken)]) == 2
-        err = capsys.readouterr().err
-        assert str(broken) in err and message in err
+        out, err = capsys.readouterr()
+        assert str(broken) in err and message in err and "accuracy" not in out
 
     # vector data cannot drive the rotation-vote permutation curve
     assert main(["eval", "--config", path, "--checkpoint", ck, "--topk", "2"]) == 2

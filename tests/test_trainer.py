@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from clusterssl.assignment import count_injections
+from clusterssl.clustering import rotation_accuracy
 from clusterssl.data import DatasetSplit, make_shape_images, partition, read_record, write_record
 from clusterssl.errors import ConfigurationError, DivergenceError
 from clusterssl.network import Model
@@ -21,7 +22,6 @@ from clusterssl.trainer import (
     save_checkpoint,
     topk_permutation_accuracy,
     train,
-    warmup_rotation_accuracy,
 )
 
 
@@ -435,7 +435,7 @@ def test_alternation_accounting(small_gmm):
 
 def test_no_labeled_image_is_refused_before_any_work(tmp_path, small_gmm):
     ds, split = small_gmm
-    unlabeled_only = DatasetSplit((), split.unlabeled_idx, split.test_idx, split.seed)
+    unlabeled_only = DatasetSplit((), split.unlabeled_idx, split.test_idx)
     out = tmp_path / "run"
     with pytest.raises(ConfigurationError, match="labeled"):
         train(TrainConfig(**SMALL), ds, unlabeled_only, out_dir=str(out))
@@ -560,33 +560,6 @@ def test_resume_refuses_a_damaged_pool(tmp_path, small_gmm, damage):
     assert ck in str(info.value)
 
 
-def test_model_argument_must_fit_the_data(small_gmm, rng):
-    ds, split = small_gmm
-    cfg = TrainConfig(**{**SMALL, "iters": 1})
-    with pytest.raises(ConfigurationError, match="-dim inputs"):
-        train(cfg, ds, split, model=Model(9, (16,), 4, rng=rng))
-
-
-def test_resume_and_model_are_exclusive(small_gmm, rng):
-    ds, split = small_gmm
-    model = Model(16, (16,), 4, rng=rng)
-    with pytest.raises(ConfigurationError, match="not both"):
-        train(TrainConfig(**SMALL), ds, split,
-              resume_from="whatever.json", model=model)
-
-
-def test_model_argument_continues_training(small_gmm, rng):
-    ds, split = small_gmm
-    cfg = TrainConfig(**{**SMALL, "iters": 1})
-    with pytest.raises(ConfigurationError, match="clusters"):
-        train(cfg, ds, split, model=Model(16, (16,), 3, rng=rng))
-    model = Model(16, (16,), 4, rng=np.random.default_rng(77))
-    start = model.get_params().copy()
-    rec = train(cfg, ds, split, model=model)
-    assert rec.model is model
-    assert not np.array_equal(model.get_params(), start)
-
-
 def test_divergence_aborts_and_keeps_last_checkpoint(tmp_path, small_gmm):
     ds, split = small_gmm
     cfg = TrainConfig(**{**SMALL, "iters": 10, "lr_ssl": 1e200, "wd_ssl": 1.0})
@@ -618,11 +591,5 @@ def test_warmup_rows_on_image_data():
     rec = train(cfg, ds, split)
     assert [r["phase"] for r in rec.rows] == ["warmup", "warmup"]
     assert all(np.isfinite(r["L_r"]) for r in rec.rows)
-    acc = warmup_rotation_accuracy(cfg, ds, split)
+    acc = rotation_accuracy(rec.model, ds.features[split.test_idx])
     assert 0.0 <= acc <= 1.0
-
-
-def test_warmup_rotation_accuracy_needs_images(small_gmm):
-    ds, split = small_gmm
-    with pytest.raises(ConfigurationError):
-        warmup_rotation_accuracy(TrainConfig(), ds, split)
