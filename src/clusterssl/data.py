@@ -7,6 +7,16 @@ unlabeled index sets; the unlabeled pool deliberately contains the labeled
 points too, because the clustering phase ignores labels and should see
 every training image.
 
+Each generator draws from ``default_rng(seed)`` in a fixed order, which
+the tests pin against a per-image reference:
+
+* shapes: for each image, in label order, four doubles (off_y, off_x,
+  scale, amp) then size² standard normals scaled by 0.05; then one
+  permutation of n. The images are drawn one at a time, because the
+  normal sampler consumes a variable number of words, and are then
+  rasterized in array passes, one class block at a time.
+* mixture: n×d standard normals, then one permutation of n.
+
 Record files hold one tensor each: magic ``CSSR``, version byte, dtype
 code byte, ndim byte, ndim little-endian u32 dims, then the row-major
 payload. A dataset file is two consecutive records (features, labels).
@@ -33,6 +43,10 @@ _CODE_FOR_DTYPE = {v: k for k, v in _DTYPE_CODES.items()}
 # no rotation of one reproduces another
 SHAPE_NAMES = ("l_bracket", "t_bar", "wedge", "diag_dot", "cup", "lollipop")
 
+# make_shape_images rasterizes at most this many pixels per _shape_mask call,
+# which bounds each float64 temporary at 64 KB
+_RASTER_BLOCK_PIXELS = 8192
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -44,7 +58,11 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labs = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labs = np.asarray(self.labels)
+        # casting would truncate fractional labels into classes silently
+        if not np.issubdtype(labs.dtype, np.integer):
+            raise ValueError(f"labels must have an integer dtype, got {labs.dtype}")
+        labs = np.ascontiguousarray(labs, dtype=np.int64)
         if feats.ndim < 2:
             raise ValueError(f"features must be (n, ...), got shape {feats.shape}")
         if labs.shape != (feats.shape[0],):
@@ -158,13 +176,15 @@ def make_gaussian_mixture(k: int, n: int, d: int, separation: float, seed: int) 
     """
     check_gaussian_mixture(k, n, d, separation)
     rng = np.random.default_rng(seed)
-    means = np.zeros((k, d))
-    if separation > 0:
-        means[np.arange(k), np.arange(k)] = separation / np.sqrt(2.0)
     counts = np.full(k, n // k)
     counts[: n % k] += 1
     labels = np.repeat(np.arange(k), counts)
-    feats = means[labels] + rng.normal(0.0, 1.0, size=(n, d))
+    feats = rng.standard_normal((n, d))
+    # normal(0.0, 1.0) returns 0.0 + z, which turns a -0.0 into +0.0
+    feats += 0.0
+    if separation > 0:
+        # the mean of class c is separation / sqrt(2) on axis c, zero elsewhere
+        feats[np.arange(n), labels] += separation / np.sqrt(2.0)
     order = rng.permutation(n)
     return Dataset(feats[order], labels[order], k)
 
@@ -194,6 +214,11 @@ def _shape_mask(name: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown shape {name!r}")
 
 
+def _uniform(lo: float, hi: float, d: np.ndarray) -> np.ndarray:
+    """What Generator.uniform(lo, hi) returns for each double d that random() drew."""
+    return lo + (hi - lo) * d
+
+
 def make_shape_images(k: int, n: int, size: int, seed: int) -> Dataset:
     """n grayscale size x size images of k procedural shape classes.
 
@@ -206,17 +231,29 @@ def make_shape_images(k: int, n: int, size: int, seed: int) -> Dataset:
     counts = np.full(k, n // k)
     counts[: n % k] += 1
     labels = np.repeat(np.arange(k), counts)
-    grid = (np.arange(size) + 0.5) / size
-    yy, xx = np.meshgrid(grid, grid, indexing="ij")
+    # the normal sampler consumes a variable number of words per value, so
+    # each image's four doubles must be drawn after the previous image's noise
+    draws = np.empty((n, 4))
     feats = np.empty((n, size, size))
-    for i, cls in enumerate(labels):
-        off_y, off_x = rng.uniform(-0.08, 0.08, size=2)
-        scale = rng.uniform(0.8, 1.0)
-        u = (yy - 0.5 - off_y) / scale + 0.5
-        v = (xx - 0.5 - off_x) / scale + 0.5
-        mask = _shape_mask(SHAPE_NAMES[cls], u, v)
-        amp = rng.uniform(0.8, 1.2)
-        feats[i] = amp * mask + rng.normal(0.0, 0.05, size=(size, size))
+    for i in range(n):
+        rng.random(out=draws[i])
+        rng.standard_normal(out=feats[i])
+    # normal(0.0, 0.05) returns 0.0 + 0.05 z; adding a non-negative amp * mask
+    # below maps -0.0 to +0.0 just as that 0.0 + does
+    feats *= 0.05
+    off_y, off_x = (_uniform(-0.08, 0.08, draws[:, j])[:, None, None] for j in (0, 1))
+    scale = _uniform(0.8, 1.0, draws[:, 2])[:, None, None]
+    amp = _uniform(0.8, 1.2, draws[:, 3])[:, None, None]
+    grid = (np.arange(size) + 0.5) / size
+    yy, xx = np.meshgrid(grid - 0.5, grid - 0.5, indexing="ij")
+    block = max(1, _RASTER_BLOCK_PIXELS // (size * size))
+    ends = np.cumsum(counts)
+    for cls, end in enumerate(ends):
+        for lo in range(end - counts[cls], end, block):
+            s = slice(lo, min(lo + block, end))
+            u = (yy - off_y[s]) / scale[s] + 0.5
+            v = (xx - off_x[s]) / scale[s] + 0.5
+            feats[s] += amp[s] * _shape_mask(SHAPE_NAMES[cls], u, v)
     order = rng.permutation(n)
     return Dataset(feats[order], labels[order], k)
 

@@ -157,6 +157,24 @@ def test_unreadable_dataset_file_is_exit_2(tmp_path, capsys, content, message):
         assert f"cannot load dataset.path {data}" in err and message in err
 
 
+def test_float_labels_dataset_file_is_exit_2(tmp_path, capsys):
+    # labels 0.5 and 1.7 must not load as classes 0 and 1
+    import numpy as np
+
+    from clusterssl.data import write_record
+
+    data = tmp_path / "data.cssr"
+    with open(data, "wb") as fh:
+        write_record(fh, np.zeros((60, 8)))
+        write_record(fh, np.tile([0.5, 1.7], 30))
+    path = write_cfg(tmp_path, dict(GMM_TRAIN, dataset={"path": str(data)}))
+    for command in (["train"], ["eval", "--checkpoint", str(tmp_path / "ck.json")]):
+        assert main([*command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load dataset.path {data}" in err
+        assert "labels must have an integer dtype, got float64" in err
+
+
 def test_negative_threads_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, GMM_TRAIN)
     assert main(["train", "--config", path, "--dry-run", "--threads", "-1"]) == 2
