@@ -229,20 +229,22 @@ def _batched(order: np.ndarray, batch_size: int):
 def rotation_epoch(
     model: Model,
     features: np.ndarray,
+    idx: np.ndarray,
     cfg: TrainConfig,
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
 ) -> float:
-    """One shuffled pass of rotation-prediction updates; returns mean loss.
+    """One shuffled pass of rotation-prediction updates over ``features[idx]``;
+    returns mean loss. Batches are gathered as they are drawn.
 
     Steps use the clustering phase's learning rate and weight decay.
     """
-    order = rng.permutation(features.shape[0])
+    order = rng.permutation(idx.size)
     losses = []
     with model.epoch():
         for batch in _batched(order, cfg.batch_size):
-            loss, grads = rotnet_pass(model, features[batch])
+            loss, grads = rotnet_pass(model, features[idx[batch]])
             losses.append(loss)
             opt.step(model, grads, cfg.lr_cluster, cfg.wd_cluster)
             ema.update(model.params)
@@ -253,20 +255,23 @@ def clustering_epoch(
     pool: TargetPool,
     model: Model,
     features: np.ndarray,
+    idx: np.ndarray,
     cfg: TrainConfig,
     opt: Sgd,
     ema: EmaState,
     rng: np.random.Generator,
 ) -> ClusterEpochStats:
-    """One shuffled assignment+gradient pass over the unlabeled features."""
+    """One shuffled assignment+gradient pass over the unlabeled features ``features[idx]``.
+
+    Pool position i is image ``idx[i]``; batches are gathered as they are drawn."""
     g_spec = spec_for("cluster", features.shape[1:])
-    order = rng.permutation(features.shape[0])
+    order = rng.permutation(idx.size)
     cluster_losses = []
     confident_total = 0
     reassigned_total = 0
     with model.epoch():
         for batch in _batched(order, cfg.batch_size):
-            feats = features[batch]
+            feats = features[idx[batch]]
             f = model.forward(flatten(feats))
             reassigned_total += assign_batch(pool, pool.batch_plan(batch), f)
             classes = pool.img_class[batch]

@@ -107,22 +107,6 @@ class DatasetSplit:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(self.labeled_by_class)
 
-    def check(self, ds: Dataset, labels_per_class: int) -> None:
-        """Raise if any structural invariant is violated."""
-        test = set(self.test_idx.tolist())
-        pool = set(self.unlabeled_idx.tolist())
-        if test & pool:
-            raise AssertionError("test indices leak into the training pool")
-        if len(self.labeled_by_class) != ds.k:
-            raise AssertionError("labeled_by_class must have one entry per class")
-        for cls, idx in enumerate(self.labeled_by_class):
-            if idx.shape[0] != labels_per_class:
-                raise AssertionError(f"class {cls} has {idx.shape[0]} labeled points, want {labels_per_class}")
-            if not np.all(ds.labels[idx] == cls):
-                raise AssertionError(f"labeled indices for class {cls} carry wrong labels")
-            if not set(idx.tolist()) <= pool:
-                raise AssertionError("labeled points must be members of the unlabeled pool")
-
 
 # The checks below need no data, so config loading runs them too; their
 # messages name the config key that holds each value.

@@ -9,9 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Model
-
-BLOCK = 1 << 14  # 128 KB of float64 per operand
+from .network import BLOCK, Model
 
 
 def _blocks(n: int):

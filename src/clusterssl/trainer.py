@@ -230,16 +230,11 @@ def topk_permutation_accuracy(
     test_labels = np.asarray(test_labels, dtype=np.int64)
     f = model.forward(flatten(test_features))
     pred = f.argmax(axis=1)
-    curve = np.empty(len(ranked))
-    best = 0.0
-    for i, sol in enumerate(ranked):
-        cluster_of_label = np.array(sol.cols, dtype=np.int64)
-        label_of_cluster = np.empty(kk, dtype=np.int64)
-        label_of_cluster[cluster_of_label] = np.arange(kk)
-        acc = float((label_of_cluster[pred] == test_labels).mean())
-        best = max(best, acc)
-        curve[i] = best
-    return curve
+    # row i maps each cluster to its label under the i-th ranked matching
+    cluster_of_label = np.array([sol.cols for sol in ranked], dtype=np.int64)
+    label_of_cluster = np.empty_like(cluster_of_label)
+    label_of_cluster[np.arange(len(ranked))[:, None], cluster_of_label] = np.arange(kk)
+    return np.maximum.accumulate((label_of_cluster[:, pred] == test_labels).mean(axis=1))
 
 
 # -- artifacts -------------------------------------------------------------
@@ -406,7 +401,7 @@ def load_checkpoint(path: str) -> dict:
         raise ValueError(f"checkpoint {path}: config is not a valid TrainConfig: {exc}") from None
     params, ema_shadow, velocity = _read_tensors(path, state["tensors"])
     try:
-        model = Model.from_arch(state["arch"], params)
+        model = Model._on_vector(state["arch"], params)  # the vector just read, not a copy
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: arch and params do not make a model: {exc}") from None
     for key, values in (("ema_shadow", ema_shadow), ("velocity", velocity)):
@@ -452,7 +447,6 @@ class _Driver:
         self.rot_ok = cfg.rotnet and square
         if cfg.rotnet and not square and cfg.warmup_rot_epochs:
             logger.warning("rotation pretext disabled: data is not square-image shaped")
-        self.unl_features = dataset.features[split.unlabeled_idx]
         self.rows: list[dict] = []
         self.start_iter = 1
         # (cls_acc, clu_acc, perm) of the newest eval this call made; the
@@ -467,7 +461,7 @@ class _Driver:
         self.model = Model(
             self.in_dim, cfg.hidden_sizes, self.dataset.k, cfg.leaky_slope, rng=self.rng
         )
-        self.pool = init_target_pool(self.unl_features.shape[0], self.dataset.k, cfg.alpha, self.rng)
+        self.pool = init_target_pool(self.split.unlabeled_idx.size, self.dataset.k, cfg.alpha, self.rng)
         self.opt = Sgd(self.model.n_params, cfg.momentum)
         self.ema = EmaState(self.model.params, cfg.ema_decay)
 
@@ -528,14 +522,16 @@ class _Driver:
     # -- phases ------------------------------------------------------------
 
     def eval_model(self) -> Model:
-        return Model.from_arch(self.model.arch(), self.ema.shadow)
+        """A model on the EMA shadow itself: evaluation only reads it."""
+        return Model._on_vector(self.model.arch(), self.ema.shadow)
 
     def run_warmup(self) -> None:
         for epoch in range(self.cfg.warmup_rot_epochs):
             if not self.rot_ok:
                 break
             loss = rotation_epoch(
-                self.model, self.unl_features, self.cfg, self.opt, self.ema, self.rng
+                self.model, self.dataset.features, self.split.unlabeled_idx,
+                self.cfg, self.opt, self.ema, self.rng,
             )
             self.emit(_row(0, "warmup", epoch, L_r=loss))
 
@@ -551,12 +547,14 @@ class _Driver:
                            mask_rate=stats.mask_rate))
         for epoch in range(cfg.e2):
             stats = clustering_epoch(
-                self.pool, self.model, self.unl_features, cfg, self.opt, self.ema, self.rng
+                self.pool, self.model, self.dataset.features, self.split.unlabeled_idx,
+                cfg, self.opt, self.ema, self.rng,
             )
             loss_r = None
             if self.rot_ok:
                 loss_r = rotation_epoch(
-                    self.model, self.unl_features, cfg, self.opt, self.ema, self.rng
+                    self.model, self.dataset.features, self.split.unlabeled_idx,
+                    cfg, self.opt, self.ema, self.rng,
                 )
             # nan means no batch contributed (all skipped), not divergence
             loss_c = None if math.isnan(stats.loss_cluster) else stats.loss_cluster

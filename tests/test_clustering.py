@@ -199,7 +199,7 @@ def test_rotation_epoch_raises_on_an_overflowed_trunk(rng):
     opt = Sgd(model.n_params, cfg.momentum)
     ema = EmaState(model.get_params(), 0.99)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="rotation"):
-        rotation_epoch(model, rng.normal(size=(8, 8, 8)), cfg, opt, ema, rng)
+        rotation_epoch(model, rng.normal(size=(8, 8, 8)), np.arange(8), cfg, opt, ema, rng)
     assert np.array_equal(model.params.view(np.uint64), before.view(np.uint64))
     assert model._held is None  # the epoch scope is left on the error too
 
@@ -212,7 +212,7 @@ def test_clustering_epoch_runs_and_counts(rng):
     cfg = TrainConfig(batch_size=16)
     opt = Sgd(model.n_params, cfg.momentum)
     ema = EmaState(model.get_params(), 0.99)
-    stats = clustering_epoch(pool, model, feats, cfg, opt, ema, rng)
+    stats = clustering_epoch(pool, model, feats, np.arange(n), cfg, opt, ema, rng)
     pool.check_invariants()
     assert np.isfinite(stats.loss_cluster)
     assert stats.confident_count >= 0

@@ -190,9 +190,26 @@ def test_shapes_validation():
         make_shape_images(4, 100, 4, seed=0)  # too coarse to rasterize
 
 
+def check_split_structure(split, ds, labels_per_class):
+    """Raise AssertionError if any structural invariant of the split is violated."""
+    test = set(split.test_idx.tolist())
+    pool = set(split.unlabeled_idx.tolist())
+    if test & pool:
+        raise AssertionError("test indices leak into the training pool")
+    if len(split.labeled_by_class) != ds.k:
+        raise AssertionError("labeled_by_class must have one entry per class")
+    for cls, idx in enumerate(split.labeled_by_class):
+        if idx.shape[0] != labels_per_class:
+            raise AssertionError(f"class {cls} has {idx.shape[0]} labeled points, want {labels_per_class}")
+        if not np.all(ds.labels[idx] == cls):
+            raise AssertionError(f"labeled indices for class {cls} carry wrong labels")
+        if not set(idx.tolist()) <= pool:
+            raise AssertionError("labeled points must be members of the unlabeled pool")
+
+
 def test_partition_structure(small_gmm):
     ds, split = small_gmm
-    split.check(ds, labels_per_class=4)
+    check_split_structure(split, ds, labels_per_class=4)
     assert np.intersect1d(split.test_idx, split.unlabeled_idx).size == 0
     # labeled examples stay inside the unlabeled pool (transductive pool)
     assert np.all(np.isin(split.labeled_idx, split.unlabeled_idx))

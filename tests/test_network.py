@@ -63,6 +63,25 @@ def test_leaky_relu_matches_the_where_form_bit_for_bit(slope):
         assert not differs.any()
 
 
+@pytest.mark.parametrize("shape", [(800, 512), (3, network.BLOCK + 1)])
+@pytest.mark.parametrize("slope", SLOPES)
+def test_blocked_leaky_relu_matches_the_one_call_form_bit_for_bit(shape, slope):
+    # several blocks and a partial last one, with the specials in the first and last
+    z = np.random.default_rng(0).normal(size=shape)
+    z.reshape(-1)[: SPECIALS.size] = SPECIALS
+    z.reshape(-1)[-SPECIALS.size :] = SPECIALS
+    with np.errstate(invalid="ignore"):
+        want = np.maximum(z, slope * z)
+        got = leaky_relu(z.copy(), slope, np.empty(network.BLOCK))
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_leaky_relu_refuses_a_strided_array():
+    z = np.ones((4, 6))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        leaky_relu(z, 0.01)
+
+
 @pytest.mark.parametrize("slope", SLOPES)
 def test_slope_factor_matches_the_where_form_bit_for_bit(slope):
     # backward turns each activation h = leaky_relu(z) into the derivative at z
@@ -200,6 +219,17 @@ def test_backward_before_forward_raises(rng):
     model = Model(4, (8,), 3, rng=rng)
     with pytest.raises(RuntimeError):
         model.backward(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("in_dim, hidden, k", [(16, (128, 128), 4), (128, (512, 512), 10), (3, (), 2)])
+def test_init_draws_what_rng_normal_draws(seed, in_dim, hidden, k):
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = Model(in_dim, hidden, k, rng=rng)
+    for weight, bias in layer_views(model.params, model._shapes):
+        want = oracle.normal(0.0, np.sqrt(2.0 / weight.shape[1]), size=weight.shape)
+        assert np.array_equal(bits(weight), bits(want)) and not bias.any()
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_params_round_trip_and_copy(rng):
@@ -352,6 +382,20 @@ def test_epoch_buffers_match_the_former_formulas_bit_for_bit(slope):
 
 def held_buffers(model):
     return [buf for buf in model._held or [] if buf.size]
+
+
+def test_a_larger_batch_grows_every_buffer_and_backward_reuses_them(rng):
+    # backward's gradient buffer grows with the forward batch before it, not
+    # once more at each new largest backward batch
+    model = Model(16, (128, 128), 4, rng=rng)
+    with model.epoch():
+        check_head_against_reference(model, rng.normal(size=(64, 16)), "cluster", rng)
+        model.forward(rng.normal(size=(448, 16)))
+        held = list(model._held)
+        assert len(held_buffers(model)) == 3
+        for rows in (100, 300, 448):
+            check_head_against_reference(model, rng.normal(size=(rows, 16)), "cluster", rng)
+            assert all(now is then for now, then in zip(model._held, held))
 
 
 def test_forward_returns_fresh_arrays_and_backward_consumes_the_cache(rng):

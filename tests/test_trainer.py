@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from clusterssl.assignment import count_injections
 from clusterssl.clustering import rotation_accuracy
+from clusterssl.config import ExperimentConfig, build_experiment
 from clusterssl.data import DatasetSplit, make_shape_images, partition, read_record, write_record
 from clusterssl.errors import ConfigurationError, DivergenceError
 from clusterssl.network import Model
@@ -510,6 +512,50 @@ def test_summary_reuses_the_last_eval(tmp_path, small_gmm, monkeypatch):
     with open(os.path.join(first, "summary.json"), "rb") as a, \
             open(os.path.join(again, "summary.json"), "rb") as b:
         assert a.read() == b.read()
+
+
+def test_evaluation_reads_the_ema_shadow_in_place(small_gmm, monkeypatch):
+    import clusterssl.trainer as trainer_mod
+
+    ds, split = small_gmm
+    models = []
+
+    def capture(model, *args):
+        models.append(model)
+        return evaluate(model, *args)
+
+    monkeypatch.setattr(trainer_mod, "evaluate", capture)
+    rec = train(TrainConfig(**SMALL), ds, split)
+    assert len(models) == SMALL["iters"]
+    for model in models:
+        for layer in (*model.trunk, model.cluster_head, model.rot_head):
+            assert np.shares_memory(layer.weight, rec.ema.shadow)
+            assert not np.shares_memory(layer.weight, rec.model.params)
+        assert not np.shares_memory(model.params, rec.model.params)
+
+
+# the gmm_wide_k10 benchmark workload: K = 10, 336k parameters, half-filled pool
+WIDE_K10 = {
+    "version": 1,
+    "dataset": {"generator": "gaussian_mixture", "k": 10, "n": 4000, "d": 128, "seed": 11},
+    "split": {"seed": 2},
+    "train": {"iters": 1, "hidden_sizes": [512, 512], "alpha": 0.5, "seed": 4},
+}
+
+
+def test_wide_training_iteration_traced_peak(tmp_path):
+    # one iteration at this shape traces a 23.0 MB peak; holding a copy of the
+    # unlabeled features, an evaluation model's copy of the EMA shadow or a
+    # rows x width leaky-ReLU scratch, any one of them, read 25.6 to 26.2 MB
+    cfg = ExperimentConfig.from_dict(WIDE_K10)
+    ds, split = build_experiment(cfg)
+    tracemalloc.start()
+    try:
+        train(cfg.train, ds, split, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_resume_refuses_other_config(tmp_path, small_gmm):
