@@ -36,8 +36,13 @@ lexicographic map: within a class, the batch's target slots, in the order
 the plan lists them, go to the class's images in batch order. A partition
 that is not unique by a margin (GROUP_TIE_MARGIN), a float-level negative
 cycle met on the way, or groups of one row each fall back to the general
-padded solve (_solve_rect) on the expanded c x b matrix. A matrix passed
-without ``groups`` takes the general solve alone.
+solve (_solve_rect) on the expanded c x b matrix. A matrix passed without
+``groups`` takes the general solve alone.
+
+The general solve augments the c rows over the b columns by shortest paths
+(_lap), with no padding rows; unmatched columns keep the dual v = 0. On
+ties, _lex_refine adds one node that owns the unmatched columns and may
+take any column whose v is 0, in place of b - c zero padding rows.
 """
 
 from __future__ import annotations
@@ -82,28 +87,29 @@ def _check_cost_matrix(cost) -> np.ndarray:
     return cm
 
 
-def _lap_square(cost: np.ndarray):
-    """Exact square assignment via shortest augmenting paths with potentials.
+def _lap(cost: np.ndarray):
+    """Exact c x b (c <= b) assignment via shortest augmenting paths with potentials.
 
-    ``cost`` is (n, n) float64; +inf marks forbidden cells. Returns
-    (col_for_row, u, v) or None when no finite perfect matching exists.
+    ``cost`` may hold +inf bans. Returns (cols, u, v), or None when no finite
+    injective map exists. Only settled columns, all matched, change v, so
+    unmatched columns keep v = 0 and every v stays <= 0.
     """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    # p[j] = row matched to column j; column index n is the virtual start.
-    p = np.full(n + 1, -1, dtype=np.int64)
-    for i in range(n):
-        p[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)
-        way = np.full(n, n, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
+    c, b = cost.shape
+    u = np.zeros(c)
+    v = np.zeros(b)
+    # p[j] = row matched to column j; column index b is the virtual start.
+    p = np.full(b + 1, -1, dtype=np.int64)
+    for i in range(c):
+        p[b] = i
+        j0 = b
+        minv = np.full(b, np.inf)
+        way = np.full(b, b, dtype=np.int64)
+        used = np.zeros(b + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = p[j0]
-            cur = cost[i0, :] - u[i0] - v[:n]
-            free = ~used[:n]
+            cur = cost[i0, :] - u[i0] - v
+            free = ~used[:b]
             improve = free & (cur < minv)
             minv[improve] = cur[improve]
             way[improve] = j0
@@ -112,30 +118,21 @@ def _lap_square(cost: np.ndarray):
             delta = cand[j1]
             if not np.isfinite(delta):
                 return None
-            settled = used[:n]
-            u[p[:n][settled]] += delta
-            v[:n][settled] -= delta
-            u[p[n]] += delta
+            settled = used[:b]
+            u[p[:b][settled]] += delta
+            v[settled] -= delta
+            u[i] += delta
             minv[free] -= delta
             minv[j1] = 0.0
             j0 = j1
             if p[j0] == -1:
                 break
-        while j0 != n:
+        while j0 != b:
             j_prev = way[j0]
             p[j0] = p[j_prev]
             j0 = j_prev
-    col_for_row = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        col_for_row[p[j]] = j
-    return col_for_row, u[:n], v[:n]
-
-
-def _pad_square(cm: np.ndarray) -> np.ndarray:
-    c, b = cm.shape
-    if c == b:
-        return cm
-    return np.vstack([cm, np.zeros((b - c, b))])
+    # unmatched columns (p = -1) sort first, then the columns of rows 0..c-1
+    return np.argsort(p[:b])[b - c:], u, v
 
 
 def _cost_scale(cm: np.ndarray) -> float:
@@ -149,50 +146,42 @@ def _solve_rect(cm: np.ndarray) -> np.ndarray | None:
     Returns the cols array of length c, or None when infeasible. Ties are
     broken lexicographically on the map.
     """
-    c, b = cm.shape
-    sq = _pad_square(cm)
-    res = _lap_square(sq)
+    res = _lap(cm)
     if res is None:
         return None
-    col_for_row, u, v = res
+    cols, u, v = res
     tol_edge = 1e-9 * _cost_scale(cm)
-    reduced = sq[:c, :] - u[:c, None] - v[None, :]
-    if np.any((reduced <= tol_edge).sum(axis=1) > 1):
-        return _lex_refine(sq, c, col_for_row, u, v, tol_edge)
-    return col_for_row[:c].copy()
+    tight = cm - u[:, None] - v[None, :] <= tol_edge
+    if np.any(tight.sum(axis=1) > 1):
+        return _lex_refine(tight, cols, v >= -tol_edge)
+    return cols
 
 
-def _lex_refine(
-    sq: np.ndarray,
-    c: int,
-    col_for_row: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    tol_edge: float,
-) -> np.ndarray:
+def _lex_refine(tight: np.ndarray, cols: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Lexicographically smallest map among cost-optimal assignments.
 
-    By complementary slackness the optimal assignments are exactly the
-    perfect matchings of the tight graph (zero reduced cost). Rows are
-    pinned in order to their smallest tight column for which the rest of
-    the matching can be repaired by an augmenting path.
+    The optimal maps are the matchings of ``tight`` (zero reduced cost)
+    that leave unmatched only ``spare`` columns (v within the tie tolerance
+    of 0). Node c owns the unmatched columns and may take any spare one.
+    Rows are pinned in order to their smallest tight column for which the
+    rest of the matching can be repaired by an augmenting path.
     """
-    n = sq.shape[0]
-    reduced = sq - u[:, None] - v[None, :]
-    adj = [np.flatnonzero(reduced[i] <= tol_edge) for i in range(n)]
-    row_to_col = col_for_row.copy()
-    col_to_row = np.empty(n, dtype=np.int64)
-    col_to_row[row_to_col] = np.arange(n)
-    pinned = np.zeros(n, dtype=bool)
+    c, b = tight.shape
+    adj = [np.flatnonzero(t).tolist() for t in (*tight, spare)]
+    row_to_col = cols.copy()
+    col_to_row = np.full(b, c, dtype=np.int64)
+    col_to_row[row_to_col] = np.arange(c)
+    pinned = np.zeros(b, dtype=bool)
 
     def augment(r: int, free_col: int, visited: np.ndarray) -> bool:
         for j2 in adj[r]:
-            j2 = int(j2)
-            if visited[j2] or pinned[j2]:
+            # the extra node gains nothing from a column it already owns
+            if visited[j2] or pinned[j2] or col_to_row[j2] == r:
                 continue
             visited[j2] = True
             if j2 == free_col or augment(int(col_to_row[j2]), free_col, visited):
-                row_to_col[r] = j2
+                if r < c:
+                    row_to_col[r] = j2
                 col_to_row[j2] = r
                 return True
         return False
@@ -200,21 +189,20 @@ def _lex_refine(
     for i in range(c):
         ji = int(row_to_col[i])
         for j in adj[i]:
-            j = int(j)
             if j >= ji:
                 break
             if pinned[j]:
                 continue
             # steal column j from its owner; feasible iff the owner can be
             # rerouted to the column row i frees up
-            visited = np.zeros(n, dtype=bool)
+            visited = np.zeros(b, dtype=bool)
             visited[j] = True
             if augment(int(col_to_row[j]), ji, visited):
                 row_to_col[i] = j
                 col_to_row[j] = i
                 break
         pinned[row_to_col[i]] = True
-    return row_to_col[:c]
+    return row_to_col
 
 
 def _group_graph(dcost: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +232,9 @@ def _solve_grouped(rows: np.ndarray, groups: np.ndarray) -> np.ndarray | None:
     met. The partition is accepted only if every exchange cycle costs more
     than ``GROUP_TIE_MARGIN`` times the cost scale; then it is the unique
     optimum and rows of one group take its columns in ascending order, which
-    is the lexicographically smallest optimal map. Returns None when every
-    group has one row or the optimum may not be unique.
+    is the lexicographically smallest optimal map. Returns None, for the
+    rectangular solve (_solve_rect) to take over, when every group has one
+    row or the optimum may not be unique.
     """
     c, b = groups.shape[0], rows.shape[1]
     if rows.shape[0] == c:

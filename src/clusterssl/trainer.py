@@ -395,6 +395,17 @@ def load_checkpoint(path: str) -> dict:
             missing += [f"{key}.{name}" for name in inner if name not in state[key]]
     if missing:
         raise ValueError(f"checkpoint {path} lacks key(s): {', '.join(missing)}")
+    iteration, decay, rows = state["iteration"], state["ema_decay"], state["rows"]
+    if type(iteration) is not int or iteration < 0:
+        raise ValueError(f"checkpoint {path}: iteration must be a non-negative integer, got {iteration!r}")
+    if type(decay) not in (int, float) or not 0.0 <= decay < 1.0:
+        raise ValueError(f"checkpoint {path}: ema_decay must be a number in [0, 1), got {decay!r}")
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError(f"checkpoint {path}: rows must be a list of objects")
+    try:
+        np.random.PCG64().state = state["rng_state"]
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: rng_state is not a PCG64 state: {exc!r}") from None
     try:
         TrainConfig.from_dict(state["config"])
     except (TypeError, ValueError) as exc:
@@ -469,6 +480,9 @@ class _Driver:
         state = load_checkpoint(path)
         if state["config"] != self.cfg.to_dict():
             raise ConfigurationError("checkpoint was produced by a different config; refusing to resume")
+        if state["iteration"] > self.cfg.iters:
+            raise ConfigurationError(f"checkpoint {path} is at iteration {state['iteration']}, "
+                                     f"past the config's iters ({self.cfg.iters})")
         self.model = state["model"]
         try:
             self.pool = TargetPool.from_state(state["pool"]) if state["pool"] is not None else None

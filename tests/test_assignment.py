@@ -211,6 +211,147 @@ def test_grouped_batch_matches_the_expanded_matrix(batch):
     assert got.total_cost == want.total_cost
 
 
+# The general solve as it was before it learned to skip padding: the c x b
+# matrix is padded square with b - c zero rows and solved there. It is the
+# reference the rectangular solve must reproduce map for map.
+def _ref_lap_square(cost):
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.full(n + 1, -1, dtype=np.int64)
+    for i in range(n):
+        p[n] = i
+        j0 = n
+        minv = np.full(n, np.inf)
+        way = np.full(n, n, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            cur = cost[i0, :] - u[i0] - v[:n]
+            free = ~used[:n]
+            improve = free & (cur < minv)
+            minv[improve] = cur[improve]
+            way[improve] = j0
+            cand = np.where(free, minv, np.inf)
+            j1 = int(np.argmin(cand))
+            delta = cand[j1]
+            if not np.isfinite(delta):
+                return None
+            settled = used[:n]
+            u[p[:n][settled]] += delta
+            v[:n][settled] -= delta
+            u[p[n]] += delta
+            minv[free] -= delta
+            minv[j1] = 0.0
+            j0 = j1
+            if p[j0] == -1:
+                break
+        while j0 != n:
+            j_prev = way[j0]
+            p[j0] = p[j_prev]
+            j0 = j_prev
+    col_for_row = np.full(n, -1, dtype=np.int64)
+    for j in range(n):
+        col_for_row[p[j]] = j
+    return col_for_row, u[:n], v[:n]
+
+
+def _ref_pad_square(cm):
+    c, b = cm.shape
+    if c == b:
+        return cm
+    return np.vstack([cm, np.zeros((b - c, b))])
+
+
+def _ref_solve_rect(cm):
+    c, b = cm.shape
+    sq = _ref_pad_square(cm)
+    res = _ref_lap_square(sq)
+    if res is None:
+        return None
+    col_for_row, u, v = res
+    tol_edge = 1e-9 * assignment._cost_scale(cm)
+    reduced = sq[:c, :] - u[:c, None] - v[None, :]
+    if np.any((reduced <= tol_edge).sum(axis=1) > 1):
+        return _ref_lex_refine(sq, c, col_for_row, u, v, tol_edge)
+    return col_for_row[:c].copy()
+
+
+def _ref_lex_refine(sq, c, col_for_row, u, v, tol_edge):
+    n = sq.shape[0]
+    reduced = sq - u[:, None] - v[None, :]
+    adj = [np.flatnonzero(reduced[i] <= tol_edge) for i in range(n)]
+    row_to_col = col_for_row.copy()
+    col_to_row = np.empty(n, dtype=np.int64)
+    col_to_row[row_to_col] = np.arange(n)
+    pinned = np.zeros(n, dtype=bool)
+
+    def augment(r, free_col, visited):
+        for j2 in adj[r]:
+            j2 = int(j2)
+            if visited[j2] or pinned[j2]:
+                continue
+            visited[j2] = True
+            if j2 == free_col or augment(int(col_to_row[j2]), free_col, visited):
+                row_to_col[r] = j2
+                col_to_row[j2] = r
+                return True
+        return False
+
+    for i in range(c):
+        ji = int(row_to_col[i])
+        for j in adj[i]:
+            j = int(j)
+            if j >= ji:
+                break
+            if pinned[j]:
+                continue
+            visited = np.zeros(n, dtype=bool)
+            visited[j] = True
+            if augment(int(col_to_row[j]), ji, visited):
+                row_to_col[i] = j
+                col_to_row[j] = i
+                break
+        pinned[row_to_col[i]] = True
+    return row_to_col[:c]
+
+
+@st.composite
+def wide_costs(draw):
+    """A c x b matrix, c <= b <= 64, in a style where optimal maps tie often,
+    with or without the +inf bans that Murty children put on cells."""
+    b = draw(st.integers(1, 64))
+    c = draw(st.integers(1, b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["uniform", "rounded", "integers", "duplicated", "zero"]))
+    if style == "uniform":
+        cm = rng.uniform(0.0, 10.0, size=(c, b))
+    elif style == "rounded":
+        cm = np.round(rng.uniform(0.0, 10.0, size=(c, b)), draw(st.integers(0, 2)))
+    elif style == "integers":
+        cm = rng.integers(0, 3, size=(c, b)).astype(np.float64)
+    elif style == "duplicated":
+        base = rng.uniform(0.0, 3.0, size=(draw(st.integers(1, c)), b))
+        cm = base[rng.integers(0, base.shape[0], size=c)]
+    else:
+        cm = np.zeros((c, b))
+    if draw(st.booleans()):
+        cm = np.where(rng.random((c, b)) < draw(st.sampled_from([0.05, 0.3, 0.7])), np.inf, cm)
+    return cm
+
+
+@settings(max_examples=400)
+@given(wide_costs())
+def test_rectangular_solve_matches_the_padded_one(cm):
+    want = _ref_solve_rect(cm)
+    got = assignment._solve_rect(cm)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.tolist() == want.tolist()
+
+
 def test_verify_hungarian_compares_the_map(monkeypatch):
     import clusterssl.verify as verify
 
@@ -308,16 +449,18 @@ def enumerated_totals(cm):
 
 @st.composite
 def small_spaces(draw):
-    """(c, b): c <= b <= 12 with at most ENUMERATE_MAX_INJECTIONS injections.
+    """(c, b): c <= b <= 201 with at most ENUMERATE_MAX_INJECTIONS injections.
 
-    Wider spaces within the bound, such as 2 x 201, take the partitioning
-    path seconds per example; test_murty_enumerates_spaces_within_the_bound
-    covers them.
+    A third of the draws are at most 12 wide, a third lie between 12 and
+    the widest space within the bound for their c, and a third are that
+    widest space, such as 2 x 201 or 3 x 34. One-row spaces wider than 201,
+    up to 1 x 40320, are left to test_murty_enumerates_spaces_within_the_bound.
     """
     c = draw(st.integers(1, 8))
-    widest = max(b for b in range(c, 13)
+    widest = max(b for b in range(c, 202)
                  if count_injections(c, b) <= assignment.ENUMERATE_MAX_INJECTIONS)
-    return c, draw(st.integers(c, widest))
+    narrow = min(widest, 12)
+    return c, draw(st.integers(c, narrow) | st.integers(narrow, widest) | st.just(widest))
 
 
 @settings(max_examples=150)
@@ -349,7 +492,7 @@ def test_enumeration_and_partitioning_rank_continuous_costs_alike(shape, seed, d
     assert murty_kbest(cm, k) == ranked
 
 
-@pytest.mark.parametrize("c, b, k", [(9, 9, 30), (4, 16, 30)])
+@pytest.mark.parametrize("c, b, k", [(9, 9, 30), (4, 16, 30), (2, 250, 30), (3, 40, 30)])
 def test_murty_ranks_spaces_above_the_bound_by_partitioning(rng, monkeypatch, c, b, k):
     assert count_injections(c, b) > assignment.ENUMERATE_MAX_INJECTIONS
     cm = rng.uniform(0, 10, size=(c, b))

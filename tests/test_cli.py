@@ -302,6 +302,7 @@ def test_eval_mismatches_are_exit_2(tmp_path, capsys):
                                  (no_hidden, tensors, "arch.hidden_sizes"),
                                  (no_temperature, tensors, "config.logit_temperature"),
                                  (text_tau, tensors, "train.tau must be a number"),
+                                 (dict(good, iteration=-7), tensors, "iteration must be a non-negative"),
                                  (good, tensors[:100], "params record"),
                                  (good, tensors[:100], "truncated record payload at offset 11"),
                                  (good, bytes(flipped), "tensors.crc32")):

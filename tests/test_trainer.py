@@ -196,6 +196,17 @@ def _flip_payload_byte(state, tensors):
      "ema_shadow record: not a float64 vector"),
     (lambda st, t: st["tensors"].update(bytes=1), "tensors.bytes says 1"),
     (_flip_payload_byte, "tensors.crc32"),
+    (lambda st, t: st.update(iteration=-7), "iteration must be a non-negative integer, got -7"),
+    (lambda st, t: st.update(iteration=True), "iteration must be a non-negative integer, got True"),
+    (lambda st, t: st.update(iteration=1.0), "iteration must be a non-negative integer, got 1.0"),
+    (lambda st, t: st.update(rows=5), "rows must be a list of objects"),
+    (lambda st, t: st.update(rows=[1, 2]), "rows must be a list of objects"),
+    (lambda st, t: st.update(ema_decay="x"), "ema_decay must be a number in [0, 1), got 'x'"),
+    (lambda st, t: st.update(ema_decay=2.0), "ema_decay must be a number in [0, 1), got 2.0"),
+    (lambda st, t: st.update(ema_decay=False), "ema_decay must be a number in [0, 1), got False"),
+    (lambda st, t: st["rng_state"].update(bit_generator="MT19937"), "rng_state is not a PCG64 state"),
+    (lambda st, t: st.update(rng_state=5), "rng_state is not a PCG64 state"),
+    (lambda st, t: st["rng_state"].pop("state"), "rng_state is not a PCG64 state"),
 ])
 def test_damaged_checkpoint_names_path_and_key(tmp_path, rng, damage, message):
     from clusterssl.optim import EmaState, Sgd
@@ -582,6 +593,24 @@ def test_resume_refuses_data_the_checkpoint_does_not_fit(tmp_path, small_gmm):
         other = make_gaussian_mixture(k, n, d, 6.0, seed=7)
         with pytest.raises(ConfigurationError, match=message):
             train(cfg, other, partition(other, 4, 0.2, seed=1), resume_from=ck)
+
+
+def test_resume_refuses_a_checkpoint_past_the_run(tmp_path, small_gmm):
+    ds, split = small_gmm
+    cfg = TrainConfig(**{**SMALL, "iters": 1})
+    out = str(tmp_path / "run")
+    train(cfg, ds, split, out_dir=out)
+    os.remove(os.path.join(out, "summary.json"))
+    ck = os.path.join(out, "checkpoint.json")
+    with open(ck, encoding="utf-8") as fh:
+        state = json.load(fh)
+    state["iteration"] = 99
+    with open(ck, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+    with pytest.raises(ConfigurationError, match=r"at iteration 99, past the config's iters \(1\)") as info:
+        train(cfg, ds, split, out_dir=out, resume_from=ck)
+    assert ck in str(info.value)
+    assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
 def _overbind_class_0(pool):
