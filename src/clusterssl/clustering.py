@@ -19,7 +19,7 @@ import numpy as np
 
 from .assignment import Assignment, hungarian_solve
 from .augment import AugmentSpec, apply_batch, rotate90_batch, spec_for
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_value
 from .network import Model, softmax_cross_entropy
 from .optim import EmaState, Sgd
 
@@ -29,8 +29,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 UNASSIGNED = -1
-# the fewest clusters the clustering phase can separate
-MIN_CLUSTERS = 2
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,7 @@ class TargetPool:
 
 def init_target_pool(n: int, k: int, alpha: float, rng: np.random.Generator) -> TargetPool:
     """floor(alpha*n/K) distinct images bound to each cluster."""
-    if k < MIN_CLUSTERS:
-        raise ConfigurationError(f"k must be >= {MIN_CLUSTERS}, got {k}")
+    check_value("dataset.k", k)  # the clustering phase needs two classes
     if n < k:
         raise ConfigurationError(f"need n >= k, got n={n}, k={k}")
     per_cluster = int(alpha * n / k)
@@ -173,8 +170,7 @@ def clustering_loss(
     m = images.shape[0]
     if m == 0:
         raise ValueError("clustering loss over an empty image set")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    check_value("train.r", r)
     if targets.shape != (m, model.k):
         raise ValueError(f"targets shape {targets.shape} != ({m}, {model.k})")
     total = 0.0

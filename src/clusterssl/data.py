@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_value
 
 MAGIC = b"CSSR"
 RECORD_VERSION = 1
@@ -112,44 +112,29 @@ class DatasetSplit:
 # messages name the config key that holds each value.
 
 
-def check_gaussian_mixture(k: int, n: int, d: int, separation: float, min_k: int = 1) -> None:
-    """Raise ConfigurationError unless make_gaussian_mixture accepts these values.
-
-    ``min_k`` raises the lower bound on k for a caller that needs more classes
-    than the generator does.
-    """
-    if k < min_k:
-        raise ConfigurationError(f"dataset.k must be >= {min_k}, got {k}")
-    for key, value in (("n", n), ("d", d)):
-        if value < 1:
-            raise ConfigurationError(f"dataset.{key} must be >= 1, got {value}")
-    if n < k:
-        raise ConfigurationError(f"dataset.n must be >= dataset.k (one point per class), got n={n} < k={k}")
-    if separation < 0:
-        raise ConfigurationError(f"dataset.separation must be >= 0, got {separation}")
+def check_gaussian_mixture(k: int, n: int, d: int, separation: float) -> None:
+    """Raise ConfigurationError unless make_gaussian_mixture accepts these values."""
+    _check_counts(k, n)
+    check_value("dataset.d", d)
+    check_value("dataset.separation", separation)
     if separation > 0 and d < k:
         raise ConfigurationError(f"dataset.d must be >= dataset.k for simplex means, got d={d} < k={k}")
 
 
-def check_shape_images(k: int, n: int, size: int, min_k: int = 1) -> None:
-    """Raise ConfigurationError unless make_shape_images accepts these values.
+def check_shape_images(k: int, n: int, size: int) -> None:
+    """Raise ConfigurationError unless make_shape_images accepts these values."""
+    check_value("dataset.size", size)
+    if k > len(SHAPE_NAMES):
+        raise ConfigurationError(f"dataset.k must be <= {len(SHAPE_NAMES)} for the shapes generator, got {k}")
+    _check_counts(k, n)
 
-    ``min_k`` is as in check_gaussian_mixture.
-    """
-    if not 8 <= size <= 32:
-        raise ConfigurationError(f"dataset.size must be in [8, 32], got {size}")
-    if not min_k <= k <= len(SHAPE_NAMES):
-        raise ConfigurationError(f"dataset.k must be in [{min_k}, {len(SHAPE_NAMES)}], got {k}")
+
+def _check_counts(k: int, n: int) -> None:
+    # a generator makes a dataset of one class, which a config's dataset.k refuses
+    if k < 1:
+        raise ConfigurationError(f"dataset.k must be >= 1, got {k}")
     if n < k:
-        raise ConfigurationError(f"dataset.n must be >= dataset.k (one image per class), got n={n} < k={k}")
-
-
-def check_split(labels_per_class: int, test_frac: float) -> None:
-    """Raise ConfigurationError unless partition accepts these values for some dataset."""
-    if not 0.0 <= test_frac < 1.0:
-        raise ConfigurationError(f"split.test_frac must be in [0, 1), got {test_frac}")
-    if labels_per_class < 1:
-        raise ConfigurationError(f"split.labels_per_class must be >= 1, got {labels_per_class}")
+        raise ConfigurationError(f"dataset.n must be >= dataset.k (one item per class), got n={n} < k={k}")
 
 
 def make_gaussian_mixture(k: int, n: int, d: int, separation: float, seed: int) -> Dataset:
@@ -248,7 +233,8 @@ def partition(ds: Dataset, labels_per_class: int, test_frac: float, seed: int) -
     Everything outside the test set forms the unlabeled pool, including
     the labeled points themselves.
     """
-    check_split(labels_per_class, test_frac)
+    check_value("split.labels_per_class", labels_per_class)
+    check_value("split.test_frac", test_frac)
     rng = np.random.default_rng(seed)
     test_parts = []
     train_parts = []

@@ -45,7 +45,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, check_value
 
 NORM_EPS = 1e-12
 BLOCK = 1 << 14  # 128 KB of float64 per operand, so a block's operands stay in L2 cache
@@ -200,14 +200,13 @@ class Model:
         """Set the architecture and the parameter vector, with the layers as views into it.
 
         The vector is ``params`` itself, not a copy, or zeros when None."""
-        if in_dim < 1 or k < 1:
-            raise ValueError(f"in_dim and k must be positive, got {in_dim}, {k}")
+        for key, value in (("arch.in_dim", in_dim), ("arch.k", k), ("arch.leaky_slope", leaky_slope),
+                           *((f"arch.hidden_sizes[{i}]", h) for i, h in enumerate(hidden_sizes))):
+            check_value(key, value)
         self.in_dim = int(in_dim)
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.k = int(k)
         self.leaky_slope = float(leaky_slope)
-        if not 0.0 <= self.leaky_slope < 1.0:
-            raise ValueError(f"leaky_slope must be a finite value in [0, 1), got {leaky_slope}")
         dims = [self.in_dim, *self.hidden_sizes]
         self._shapes = [
             *zip(dims[1:], dims[:-1]), (self.k, dims[-1]), (self.N_ROTATIONS, dims[-1])

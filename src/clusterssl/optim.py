@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, check_value
 from .network import BLOCK, Model
 
 
@@ -57,8 +57,7 @@ class EmaState:
     """Exponential moving average of a flat parameter vector."""
 
     def __init__(self, theta: np.ndarray, decay: float):
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
+        check_value("ema_decay", decay)
         self.shadow = np.array(theta, dtype=np.float64, copy=True)
         self.decay = float(decay)
         self.scratch = np.empty(min(BLOCK, self.shadow.size))

@@ -32,7 +32,7 @@ from .clustering import (
     rotation_epoch,
 )
 from .data import Dataset, DatasetSplit, read_record, write_record
-from .errors import ConfigurationError, DivergenceError, check_type
+from .errors import ConfigurationError, DivergenceError, check_value
 from .fixmatch import class_distribution, run_epoch
 from .network import Model
 from .optim import EmaState, Sgd
@@ -84,39 +84,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type in ("int", "float", "bool"):
-                check_type(f"train.{f.name}", getattr(self, f.name), f.type)
+            if f.name != "hidden_sizes":
+                check_value(f"train.{f.name}", getattr(self, f.name))
         if not isinstance(self.hidden_sizes, (list, tuple)):
             raise ConfigurationError(f"train.hidden_sizes must be a list, got {self.hidden_sizes!r}")
         for i, h in enumerate(self.hidden_sizes):
-            check_type(f"train.hidden_sizes[{i}]", h, "int")
+            check_value(f"train.hidden_sizes[{i}]", h)
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if self.iters < 0 or self.e1 < 0 or self.e2 < 0 or self.warmup_rot_epochs < 0:
-            raise ConfigurationError("iteration and epoch counts must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        for name in ("lr_ssl", "lr_cluster", "divergence_limit", "logit_temperature"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("wd_ssl", "wd_cluster", "lambda_u"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ConfigurationError(f"ema_decay must be in [0, 1), got {self.ema_decay}")
-        if self.r < 1 or self.batch_size < 1 or self.mu < 1:
-            raise ConfigurationError("r, batch_size and mu must be >= 1")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ConfigurationError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigurationError(f"tau must be in (0, 1), got {self.tau}")
-        if not 0.0 < self.rho < 2.0:
-            raise ConfigurationError(f"rho must be in (0, 2), got {self.rho}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.leaky_slope < 1.0:
-            raise ConfigurationError(f"leaky_slope must be in [0, 1), got {self.leaky_slope}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -395,13 +369,17 @@ def load_checkpoint(path: str) -> dict:
             missing += [f"{key}.{name}" for name in inner if name not in state[key]]
     if missing:
         raise ValueError(f"checkpoint {path} lacks key(s): {', '.join(missing)}")
-    iteration, decay, rows = state["iteration"], state["ema_decay"], state["rows"]
-    if type(iteration) is not int or iteration < 0:
-        raise ValueError(f"checkpoint {path}: iteration must be a non-negative integer, got {iteration!r}")
-    if type(decay) not in (int, float) or not 0.0 <= decay < 1.0:
-        raise ValueError(f"checkpoint {path}: ema_decay must be a number in [0, 1), got {decay!r}")
+    try:
+        check_value("iteration", state["iteration"])
+        check_value("ema_decay", state["ema_decay"])
+    except ConfigurationError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
+    rows = state["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"checkpoint {path}: rows must be a list of objects")
+    unknown = sorted(set().union(*rows).difference(CSV_COLUMNS))
+    if unknown:
+        raise ValueError(f"checkpoint {path}: rows hold key(s) no metrics.csv column has: {', '.join(unknown)}")
     try:
         np.random.PCG64().state = state["rng_state"]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

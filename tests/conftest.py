@@ -1,8 +1,18 @@
+import ctypes
+import glob
 import logging
+import os
 
-import numpy as np
-import pytest
-from hypothesis import HealthCheck, settings
+from clusterssl import THREAD_VARS
+
+# one BLAS thread, as the committed runs/ were written under; numpy reads
+# these once, when it is first imported, which must come after this
+for var in THREAD_VARS:
+    os.environ[var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
 
 # the vector-data rotation warning is expected noise in most trainer tests
 logging.getLogger("clusterssl.trainer").setLevel(logging.ERROR)
@@ -28,3 +38,20 @@ def small_gmm():
     ds = make_gaussian_mixture(4, 400, 16, 6.0, seed=7)
     split = partition(ds, 4, 0.2, seed=1)
     return ds, split
+
+
+@pytest.fixture(scope="session")
+def openblas():
+    """The core name, config string and thread count of the OpenBLAS that
+    numpy loaded, read from the library; "unknown" and None without one."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return {"corename": "unknown", "config": "unknown", "threads": None}
+    lib = ctypes.CDLL(libs[0])  # the copy numpy already loaded
+    info = {"threads": lib.scipy_openblas_get_num_threads64_()}
+    for name in ("corename", "config"):
+        fn = getattr(lib, f"scipy_openblas_get_{name}64_")
+        fn.restype = ctypes.c_char_p
+        info[name] = fn().decode()
+    return info

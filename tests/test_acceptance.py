@@ -9,6 +9,7 @@ all of them.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -22,6 +23,8 @@ from clusterssl.verify import verify_gradients, verify_hungarian, verify_murty
 
 
 REGISTRY = []  # (run name, per-cluster counts of test-set predictions)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _report(num, ok, detail):
@@ -67,11 +70,12 @@ def efficacy_run(gmm2000, gmm_split):
 
 
 @pytest.fixture(scope="session")
-def efficacy_ablation(gmm2000):
+def efficacy_ablation(gmm2000, efficacy_run):
     boosted, ssl_only = [], []
     for pseed in range(5):
         split = partition(gmm2000, 4, 0.2, seed=pseed)
-        rec = train(TrainConfig(iters=40, seed=3), gmm2000, split)
+        # split seed 1 is gmm_split, so that boosted run is efficacy_run's
+        rec = efficacy_run[0] if pseed == 1 else train(TrainConfig(iters=40, seed=3), gmm2000, split)
         _register(f"boosted-p{pseed}", rec, gmm2000, split)
         boosted.append(rec.summary["test_cls_acc"])
         rec = train(TrainConfig(iters=40, seed=3, e2=0), gmm2000, split)
@@ -303,3 +307,26 @@ def test_criterion_10_rotation_pathway(shapes800, shapes_split, rotnet_runs,
     ok = rot_ok
     _report(10, ok, detail)
     assert ok, detail
+
+
+# -- the committed reference runs ----------------------------------------------
+
+
+def test_reference_runs_write_the_committed_bytes(efficacy_run, rotnet_runs, openblas):
+    # gate 5's run is configs/toy_gmm.json and gate 7's seed-0 run is
+    # configs/shapes8.json, so tier-1 holds both to the bytes under runs/
+    for name, rec in (("toy_gmm", efficacy_run[0]), ("shapes8", rotnet_runs[0][0])):
+        with open(os.path.join(ROOT, "runs", name, "metrics.csv"), encoding="utf-8") as fh:
+            want = fh.read()
+        with open(os.path.join(ROOT, "runs", name, "summary.json"), encoding="utf-8") as fh:
+            summary = json.load(fh)
+        got = rec.csv_text()
+        if got != want:
+            got_lines, want_lines = got.splitlines(), want.splitlines()
+            line = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                        min(len(got_lines), len(want_lines)))
+            pytest.fail(f"runs/{name}/metrics.csv line {line + 1} reads {want_lines[line:line + 1]}, "
+                        f"this run wrote {got_lines[line:line + 1]}; runs/ was written under the "
+                        f"OpenBLAS core SkylakeX, this run's is {openblas['corename']}")
+        for key in ("test_cls_acc", "test_clu_acc", "best_perm", "topk_curve"):
+            assert rec.summary.get(key) == summary.get(key), (name, key)

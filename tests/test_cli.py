@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -117,9 +118,9 @@ def test_out_of_range_data_value_is_exit_2_on_dry_run(tmp_path, capsys, base, bl
 
 
 @pytest.mark.parametrize("base, k, message", [
-    (GMM_TRAIN, 1, "dataset.k must be >= 2, got 1"),
-    (SHAPES_TRAIN, 1, "dataset.k must be in [2, 6], got 1"),
-    (SHAPES_TRAIN, 7, "dataset.k must be in [2, 6], got 7"),
+    (GMM_TRAIN, 1, "dataset.k must be an integer >= 2, got 1"),
+    (SHAPES_TRAIN, 1, "dataset.k must be an integer >= 2, got 1"),
+    (SHAPES_TRAIN, 7, "dataset.k must be <= 6 for the shapes generator, got 7"),
 ], ids=["gaussian_mixture-1", "shapes-1", "shapes-7"])
 def test_generator_k_outside_the_clustering_range_is_exit_2_on_dry_run(
         tmp_path, capsys, base, k, message):
@@ -140,7 +141,7 @@ def test_one_class_dataset_file_is_exit_2_on_train(tmp_path, capsys):
     assert main(["train", "--config", path, "--dry-run"]) == 0
     capsys.readouterr()
     assert main(["train", "--config", path]) == 2
-    assert "k must be >= 2, got 1" in capsys.readouterr().err
+    assert "dataset.k must be an integer >= 2, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, message", [(None, "No such file"),
@@ -186,7 +187,7 @@ def test_negative_config_seed_is_exit_2_on_dry_run(tmp_path, capsys, block):
     cfg = json.loads(json.dumps(GMM_TRAIN))
     cfg[block]["seed"] = -1
     assert main(["train", "--config", write_cfg(tmp_path, cfg), "--dry-run"]) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
+    assert f"{block}.seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_is_exit_2(tmp_path, capsys):
@@ -254,6 +255,20 @@ def test_committed_checkpoint_reproduces_its_summary(capsys, run, topk):
     ]
     curve = [float(line.split(",")[1]) for line in lines[4:]]
     assert curve == summary.get("topk_curve", [])[: int(topk)]
+
+
+def test_eval_refuses_checkpoint_rows_with_unknown_keys(tmp_path, capsys):
+    # such rows once resumed silently, writing a metrics.csv line of empty fields
+    run = os.path.join(ROOT, "runs", "toy_gmm")
+    with open(os.path.join(run, "checkpoint.json"), encoding="utf-8") as fh:
+        state = json.load(fh)
+    shutil.copy(os.path.join(run, state["tensors"]["file"]), tmp_path)
+    ck = tmp_path / "checkpoint.json"
+    ck.write_text(json.dumps(dict(state, iteration=1, rows=[{"bogus": 1}])))
+    assert main(["eval", "--config", os.path.join(ROOT, "configs", "toy_gmm.json"),
+                 "--checkpoint", str(ck), "--threads", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert str(ck) in err and "bogus" in err and "accuracy" not in out
 
 
 def test_eval_mismatches_are_exit_2(tmp_path, capsys):

@@ -70,14 +70,14 @@ def test_generator_validation():
     ("split", {"dataset": GMM, "split": {"seed": -2}}),
 ])
 def test_negative_data_seed_is_rejected(block, payload):
-    with pytest.raises(ConfigurationError, match=f"{block}.seed must be >= 0"):
+    with pytest.raises(ConfigurationError, match=f"{block}.seed must be a non-negative integer"):
         ExperimentConfig.from_dict(payload)
 
 
 def test_negative_train_seed_is_rejected():
-    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+    with pytest.raises(ConfigurationError, match="train.seed must be a non-negative integer"):
         TrainConfig(seed=-1)
-    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+    with pytest.raises(ConfigurationError, match="train.seed must be a non-negative integer"):
         ExperimentConfig.from_dict({"dataset": GMM, "train": {"seed": -3}})
 
 

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from clusterssl import THREAD_VARS
 from clusterssl.assignment import count_injections
 from clusterssl.clustering import rotation_accuracy
 from clusterssl.config import ExperimentConfig, build_experiment
@@ -668,3 +669,10 @@ def test_warmup_rows_on_image_data():
     assert all(np.isfinite(r["L_r"]) for r in rec.rows)
     acc = rotation_accuracy(rec.model, ds.features[split.test_idx])
     assert 0.0 <= acc <= 1.0
+
+
+def test_the_suite_runs_on_one_blas_thread(openblas):
+    # conftest pins the thread variables before numpy is first imported; an
+    # import that moved ahead of it would leave the library default in place
+    assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "1")
+    assert openblas["threads"] in (None, 1), openblas
