@@ -37,10 +37,44 @@ scratch the model keeps for its life, where a rows x width scratch took
 1.8 MB at 448x512. With the same bytes, the medians of 1,200 single calls
 on one core read 211 against 346 us at 448x512, 392 against 640 us at
 800x512 and 34.7 against 34.5 us at 448x128.
+
+The trunk's large forward passes run on two CPUs. When a batch has at
+least ``split_rows`` rows, one worker thread runs rows ``[rows // 2:]``
+through every trunk layer into their rows of the activation slots, with a
+second 128 KB scratch, while the caller runs the first half; the caller
+joins the worker, also when either half raises, and then runs the head
+whole. At
+gmm_wide_k10's 128-512-512 trunk that takes the 800-row evals and the 448-
+and ~340-row SSL passes, not its 64-row batches; no batch of gmm_k4 or
+shapes8 qualifies, and backward always runs whole. The rule's width part,
+every width a multiple of 8 and each half at least two rows, is for the
+bytes: other widths leave kernel tails that sum in another order, and numpy
+runs a one-row half as a matrix-vector product. Its size part, at least
+``SPLIT_MACS`` (2^22) multiply-adds per layer in each half, is for speed: a
+thread handoff inside a training run costs more than halving a 128-wide
+layer's products saves. It also keeps each half clear of OpenBLAS's small
+products, whose halves can sum in another order (64x32x512 does). Within
+the rule each output element's sum runs over the inner dimension alone, in
+blocks that do not depend on the row count, so the bytes are the whole
+products' whether the halves ran at once or one after the other. The
+worker's BLAS buffer and scratch raise gmm_wide_k10's peak RSS by about
+2.7 MB (71.2 -> 74.0 MB, medians of 12 perfbench runs on a 2-vCPU AVX-512
+machine). The split runs only where the OpenBLAS numpy loaded runs one
+thread and the process may use two CPUs; elsewhere (more BLAS threads,
+another BLAS, one CPU) the whole products run. The worker is one thread for
+the process, not one per model, because evaluation builds a model per
+checkpoint.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import glob
+import math
+import os
+from concurrent import futures
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,6 +83,49 @@ from .errors import DivergenceError, check_value
 
 NORM_EPS = 1e-12
 BLOCK = 1 << 14  # 128 KB of float64 per operand, so a block's operands stay in L2 cache
+SPLIT_MACS = 1 << 22  # the least multiply-adds per layer in each half worth a thread handoff
+
+
+def openblas_info() -> dict:
+    """The thread count, core name and config string of the OpenBLAS that numpy
+    loaded, read from the library itself; each None where that is not OpenBLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])  # the copy numpy already loaded
+        info = {"threads": lib.scipy_openblas_get_num_threads64_()}
+        for name in ("corename", "config"):
+            fn = getattr(lib, f"scipy_openblas_get_{name}64_")
+            fn.restype = ctypes.c_char_p
+            info[name] = fn().decode()
+    except (IndexError, OSError, AttributeError):
+        return dict.fromkeys(("threads", "corename", "config"))
+    return info
+
+
+def split_rows(shapes) -> float:
+    """The least batch whose products through layers of these ``(out, in)`` shapes
+    may run as two row halves, ``[:rows // 2]`` and ``[rows // 2:]``, and give the
+    bytes of the whole products; inf where no batch may.
+
+    Every width must be a multiple of 8 and each half at least 2 rows, for the
+    bytes: other widths leave kernel tails that sum in another order, and numpy
+    runs a one-row half as a matrix-vector product. Each layer's half must hold
+    at least ``SPLIT_MACS`` multiply-adds, for speed, which also keeps it clear of
+    the small products whose halves can sum in another order."""
+    if not shapes or any(out % 8 or in_dim % 8 for out, in_dim in shapes):
+        return math.inf
+    return max(4, *(2 * -(-SPLIT_MACS // (out * in_dim)) for out, in_dim in shapes))
+
+
+@functools.cache
+def _worker() -> futures.Executor | None:
+    """The one thread that runs ``Model.forward``'s second row half, started on its
+    first submission; None unless the OpenBLAS numpy loaded runs one thread and this
+    process may run on two CPUs."""
+    if openblas_info()["threads"] != 1 or len(os.sched_getaffinity(0)) < 2:
+        return None
+    return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="clusterssl-trunk")
 
 
 def leaky_relu(z: np.ndarray, slope: float, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -224,6 +301,8 @@ class Model:
         )
         self._grads = np.empty(self.n_params)  # backward writes every entry
         self._relu_scratch = np.empty(BLOCK)
+        self._split_rows = split_rows(self._shapes[: len(self.hidden_sizes)])
+        self._worker_scratch = None  # the worker half's, made at the first split
         self._cache = None
         self._held = None  # flat activation buffers, kept only inside ``epoch``
 
@@ -296,10 +375,22 @@ class Model:
             raise ValueError(f"head must be 'cluster' or 'rotation', got {head!r}")
         self._cache = None  # its activations may sit in the buffers this pass overwrites
         rows = x.shape[0]
-        acts = [x]
-        for slot, layer in enumerate(self.trunk):
-            z = layer.forward(acts[-1], out=self._buffer(slot, rows, layer.bias.size))
-            acts.append(leaky_relu(z, self.leaky_slope, self._relu_scratch))
+        # every slot before either half runs: taking one may regrow them all
+        acts = [x, *(self._buffer(slot, rows, layer.bias.size) for slot, layer in enumerate(self.trunk))]
+        worker = _worker() if rows >= self._split_rows else None
+        if worker is None:
+            self._trunk_rows(acts, slice(None), self._relu_scratch)
+        else:
+            if self._worker_scratch is None:
+                self._worker_scratch = np.empty(BLOCK)
+            half = rows // 2
+            job = worker.submit(contextvars.copy_context().run, self._trunk_rows, acts,
+                                slice(half, None), self._worker_scratch)
+            try:
+                self._trunk_rows(acts, slice(half), self._relu_scratch)
+            finally:
+                futures.wait((job,))  # nothing reads or drops acts while the worker writes
+            job.result()
         if head == "cluster":
             pre = self.cluster_head.forward(acts[-1])
             out, norms = l2_normalize_rows(pre)
@@ -312,6 +403,11 @@ class Model:
             raise DivergenceError(f"{head} head outputs overflowed")
         self._cache = (head, acts, normalized)
         return out
+
+    def _trunk_rows(self, acts: list[np.ndarray], rows: slice, scratch: np.ndarray) -> None:
+        """Run ``rows`` of the input through the trunk into the same rows of each slot."""
+        for layer, below, z in zip(self.trunk, acts, acts[1:]):
+            leaky_relu(layer.forward(below[rows], out=z[rows]), self.leaky_slope, scratch)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """Backpropagate ``d_out`` through the head the cached forward ran; consumes the

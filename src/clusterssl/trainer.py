@@ -3,10 +3,21 @@ semi-supervised epochs followed by e2 clustering epochs.
 
 One master generator seeded from the config drives every random decision
 in a fixed order (model init, pool init, warmup, epochs), so runs are
-resumable and, for a fixed BLAS thread count, bit-reproducible: checkpoints
-carry parameters, EMA shadow, optimizer velocity, pool bindings, generator
-state, the metric rows written so far, and the thread and numpy settings
-they were written under. Evaluation always uses the EMA shadow weights.
+resumable and, for a fixed BLAS thread count and kernel, bit-reproducible:
+checkpoints carry parameters, EMA shadow, optimizer velocity, pool bindings,
+generator state, the metric rows written so far, and the thread and numpy
+settings they were written under. Evaluation always uses the EMA shadow
+weights.
+
+The CPU count is not a condition. On one BLAS thread with two CPUs free,
+``Model.forward`` runs the trunk of a large pass (gmm_wide_k10's evals and
+SSL passes, no batch of the committed configs, never backward) as two row
+halves on two threads, under ``network.split_rows``: widths that are
+multiples of 8 and halves of two rows or more, so the halves sum as the
+whole product does, and at least 2^22 multiply-adds per layer in each half,
+so the thread handoff pays. The bytes are the same whether the halves ran
+at once or one after the other; the worker's BLAS buffer and scratch cost
+about 2.7 MB of peak RSS at gmm_wide_k10 (see the ``network`` docstring).
 """
 
 from __future__ import annotations

@@ -1,5 +1,3 @@
-import ctypes
-import glob
 import logging
 import os
 
@@ -42,16 +40,8 @@ def small_gmm():
 
 @pytest.fixture(scope="session")
 def openblas():
-    """The core name, config string and thread count of the OpenBLAS that
-    numpy loaded, read from the library; "unknown" and None without one."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas64_*.so"))
-    if not libs:
-        return {"corename": "unknown", "config": "unknown", "threads": None}
-    lib = ctypes.CDLL(libs[0])  # the copy numpy already loaded
-    info = {"threads": lib.scipy_openblas_get_num_threads64_()}
-    for name in ("corename", "config"):
-        fn = getattr(lib, f"scipy_openblas_get_{name}64_")
-        fn.restype = ctypes.c_char_p
-        info[name] = fn().decode()
-    return info
+    """The thread count, core name and config string of the OpenBLAS that numpy
+    loaded, read from the library; each None without one."""
+    from clusterssl.network import openblas_info
+
+    return openblas_info()

@@ -1,8 +1,15 @@
 import contextlib
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterssl import network
 from clusterssl.errors import DivergenceError
@@ -16,6 +23,7 @@ from clusterssl.network import (
     leaky_relu_factor,
     softmax_cross_entropy,
     softmax_rows,
+    split_rows,
 )
 
 SLOPES = (0.0, 0.01, 0.5)
@@ -490,3 +498,240 @@ def test_model_rejects_leaky_slope_outside_0_1(rng, slope):
     model = Model(4, (3,), 2, rng=rng)
     with pytest.raises(ValueError, match="leaky_slope"):
         Model.from_arch({**model.arch(), "leaky_slope": slope}, model.params)
+
+
+# -- the trunk's two row halves -------------------------------------------
+
+@st.composite
+def split_products(draw):
+    """(m, n, k) for an (m, k) by (k, n) product whose row halves ``split_rows``
+    accepts, with n * k <= 2**21, m * max(n, k) <= 2**20 and m * n * k <= 2**27
+    so each example stays small."""
+    n = 8 * draw(st.integers(1, 512))
+    k = 8 * draw(st.integers(1, min(512, 2**18 // n)))
+    low = split_rows([(n, k)])
+    m = draw(st.integers(low, max(low, min(2**20 // max(n, k), 2**27 // (n * k)))))
+    return m, n, k
+
+
+def halves_product(a, b, a_half):
+    """``a @ b`` with the two row halves of ``a``, as ``a_half(rows)`` gives them,
+    multiplied apart into their halves of one output."""
+    m = a.shape[0]
+    out = np.empty((m, b.shape[1]))
+    for rows in (slice(m // 2), slice(m // 2, None)):
+        np.matmul(a_half(rows), b, out=out[rows])
+    return out
+
+
+@settings(max_examples=60)
+@given(split_products(), st.integers(0, 2**32 - 1))
+def test_split_products_equal_the_whole_over_the_rule(shape, seed):
+    # the three product forms the model runs: x @ W.T, d @ W and d.T @ a
+    m, n, k = shape
+    rng = np.random.default_rng(seed)
+    x, d_t = rng.normal(size=(m, k)), rng.normal(size=(k, m))
+    w, w_t = rng.normal(size=(n, k)), rng.normal(size=(k, n))
+    for a, b, a_half in ((x, w.T, lambda rows: x[rows]),
+                         (x, w_t, lambda rows: x[rows]),
+                         (d_t.T, w_t, lambda rows: d_t[:, rows].T)):
+        assert np.array_equal(bits(halves_product(a, b, a_half)), bits(a @ b)), (m, n, k)
+
+
+@pytest.mark.parametrize("rows,out,in_dim", [
+    (448, 4, 512), (128, 10, 512),  # the heads
+    (448, 196, 512),  # a width that is not a multiple of 8
+    (64, 32, 512),  # OpenBLAS's small-matrix region
+    (3, 2048, 2048),  # a one-row half runs as a matrix-vector product
+])
+def test_split_rows_refuses_shapes_whose_halves_changed_bytes(rows, out, in_dim):
+    # under the SkylakeX kernel each of these gave other bytes in two halves
+    # than in the whole x @ W.T
+    assert rows < split_rows([(out, in_dim)])
+
+
+def test_split_rows_at_the_workload_trunks():
+    # far above any batch gmm_k4 or shapes8 runs; below gmm_wide_k10's 340-row
+    # SSL passes, above its 64-row batches
+    wide, gmm_k4, shapes8 = [(512, 128), (512, 512)], [(128, 16), (128, 128)], [(128, 64), (128, 128)]
+    assert [split_rows(shapes) for shapes in (wide, gmm_k4, shapes8)] == [128, 4096, 1024]
+    assert split_rows([(512, 128), (4, 512)]) == split_rows([]) == np.inf
+
+
+class InlineWorker:
+    """Stands in for the worker thread: runs each submission at once, in the caller."""
+
+    def __init__(self):
+        self.submissions = 0
+
+    def submit(self, fn, *args):
+        self.submissions += 1
+        job = futures.Future()
+        try:
+            job.set_result(fn(*args))
+        except Exception as exc:  # handed back through the future, as the worker does
+            job.set_exception(exc)
+        return job
+
+
+class SlowWorker:
+    """A one-thread executor that starts each half after ``delay`` seconds and, with
+    ``fail``, raises once the half has run; ``finished`` counts the halves run."""
+
+    def __init__(self, delay=0.0, fail=False):
+        self.pool = futures.ThreadPoolExecutor(max_workers=1)
+        self.delay, self.fail, self.finished = delay, fail, 0
+
+    def submit(self, fn, *args):
+        def run():
+            time.sleep(self.delay)
+            fn(*args)
+            self.finished += 1
+            if self.fail:
+                raise RuntimeError("worker half failed")
+        return self.pool.submit(run)
+
+
+@pytest.fixture
+def use_worker(monkeypatch):
+    """``use_worker(w)`` makes ``w`` the worker ``Model.forward`` hands its second half
+    to (None: no split); the test's SlowWorkers are shut down after it."""
+    made = []
+
+    def use(worker):
+        if isinstance(worker, SlowWorker):
+            made.append(worker)
+        monkeypatch.setattr(network, "_worker", lambda: worker)
+        return worker
+
+    yield use
+    for worker in made:
+        worker.pool.shutdown()
+
+
+WIDE = (128, (512, 512), 10)  # the gmm_wide_k10 network
+
+
+def wide_model():
+    return Model(*WIDE, rng=np.random.default_rng(10))
+
+
+def wide_forward(x):
+    """A fresh gmm_wide_k10 model's cluster output for x, from whole products."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_worker", lambda: None)
+        return wide_model().forward(x)
+
+
+@pytest.mark.parametrize("rows", [800, 448, 340, 64])
+def test_split_forward_and_backward_give_the_whole_bytes(rows, use_worker):
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, WIDE[0]))
+    x[0] = -0.0
+    d_outs = {"cluster": rng.normal(size=(rows, WIDE[2])), "rotation": rng.normal(size=(rows, 4))}
+    inline = InlineWorker()
+    passes = []
+    for worker in (None, inline, SlowWorker()):
+        use_worker(worker)
+        model = wide_model()
+        got = []
+        with model.epoch():
+            for head, d_out in d_outs.items():
+                got += [bits(model.forward(x, head)), bits(model.backward(d_out)).copy()]
+        got.append(bits(model.forward(x)))  # outside the scope: fresh activation arrays
+        passes.append(got)
+    for got in passes[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(got, passes[0]))
+    assert inline.submissions == (3 if rows != 64 else 0)
+
+
+def test_split_batches_that_regrow_the_buffers_keep_the_whole_bytes(use_worker):
+    # the thread switch interval shortened to make the worker and the caller
+    # interleave often; a buffer regrown under a running half would show here
+    use_worker(SlowWorker())
+    rng = np.random.default_rng(3)
+    model = wide_model()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with model.epoch():
+            for rows in (128, 800, 340, 1000, 64, 448, 1000):
+                x = rng.normal(size=(rows, WIDE[0]))
+                assert np.array_equal(bits(model.forward(x)), bits(wide_forward(x))), rows
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class CallerHalfFailed(Exception):
+    pass
+
+
+def test_forward_joins_the_worker_when_either_half_fails(use_worker, monkeypatch):
+    x = np.random.default_rng(0).normal(size=(800, WIDE[0]))
+    model = wide_model()
+    worker = use_worker(SlowWorker(delay=0.05, fail=True))
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        model.forward(x)
+    assert worker.finished == 1
+
+    worker = use_worker(SlowWorker(delay=0.2))
+    real = network.leaky_relu
+
+    def caller_half_fails(z, *args):
+        if threading.current_thread() is threading.main_thread():
+            raise CallerHalfFailed
+        return real(z, *args)
+
+    monkeypatch.setattr(network, "leaky_relu", caller_half_fails)
+    with pytest.raises(CallerHalfFailed):
+        model.forward(x)
+    assert worker.finished == 1  # its half ran to the end before the error left forward
+    monkeypatch.setattr(network, "leaky_relu", real)
+    assert np.array_equal(bits(model.forward(x)), bits(wide_forward(x)))
+    assert worker.finished == 2
+
+
+def test_an_overflowed_split_forward_diverges_after_the_join(use_worker):
+    # every first-layer product is exactly 1.5e308, so adding the bias overflows
+    # in both halves' ufuncs, and the head's norms come out non-finite
+    model = wide_model()
+    params = model.get_params()
+    model.trunk[0].weight[...] = 2.0**-7
+    model.trunk[0].bias[...] = 1e308
+    x = np.full((800, WIDE[0]), 1.5e308)
+    worker = use_worker(SlowWorker(delay=0.05))
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        # the worker's half runs under the caller's errstate, so it warns of nothing
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="cluster"):
+            model.forward(x)
+    assert worker.finished == 1
+    model.set_params(params)
+    y = np.random.default_rng(1).normal(size=(800, WIDE[0]))
+    assert np.array_equal(bits(model.forward(y)), bits(wide_forward(y)))
+    assert worker.finished == 2
+
+
+def test_forward_starts_at_most_one_worker_thread(monkeypatch):
+    def workers():
+        return [t for t in threading.enumerate() if t.name.startswith("clusterssl-trunk")]
+
+    before, count_before = workers(), threading.active_count()
+    x = np.random.default_rng(2).normal(size=(800, WIDE[0]))
+    model = wide_model()
+    want = wide_forward(x)
+    real = network.leaky_relu
+
+    def worker_half_fails(z, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise CallerHalfFailed
+        return real(z, *args)
+
+    for fails in (False, True, True, False):
+        monkeypatch.setattr(network, "leaky_relu", worker_half_fails if fails else real)
+        with pytest.raises(CallerHalfFailed) if fails and network._worker() else contextlib.nullcontext():
+            got = model.forward(x)
+        if not fails:
+            assert np.array_equal(bits(got), bits(want))
+    assert len(workers()) <= 1
+    assert threading.active_count() - count_before == len(workers()) - len(before)

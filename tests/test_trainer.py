@@ -4,14 +4,17 @@ import logging
 import os
 import tracemalloc
 import zlib
+from concurrent import futures
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from clusterssl import THREAD_VARS
+from clusterssl import THREAD_VARS, network
 from clusterssl.assignment import count_injections
 from clusterssl.clustering import rotation_accuracy
-from clusterssl.config import ExperimentConfig, build_experiment
+from clusterssl.config import ExperimentConfig, build_experiment, load_config
 from clusterssl.data import DatasetSplit, make_shape_images, partition, read_record, write_record
 from clusterssl.errors import ConfigurationError, DivergenceError
 from clusterssl.network import Model
@@ -568,6 +571,34 @@ def test_wide_training_iteration_traced_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 25 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_wide_runs_write_the_same_bytes_with_the_trunk_split(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_dict({**WIDE_K10, "train": {**WIDE_K10["train"], "iters": 2}})
+    ds, split = build_experiment(cfg)
+    handoffs = []
+    with futures.ThreadPoolExecutor(max_workers=1) as pool:
+        worker = SimpleNamespace(submit=lambda *args: handoffs.append(1) or pool.submit(*args))
+        for name, use in (("whole", None), ("split", worker)):
+            monkeypatch.setattr(network, "_worker", lambda: use)
+            train(cfg.train, ds, split, out_dir=str(tmp_path / name))
+    assert handoffs  # the 448- and 340-row passes and the 800-row evals split
+    files = sorted(os.listdir(tmp_path / "whole"))
+    assert {"metrics.csv", "summary.json", "checkpoint.json"} < set(files)
+    assert sorted(os.listdir(tmp_path / "split")) == files
+    for name in files:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("config", ["toy_gmm", "shapes8"])
+def test_the_committed_configs_never_hand_off_a_forward(config, monkeypatch):
+    # a handoff costs more than it saves below the split rule's size: none may run
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{config}.json"))
+    ds, split = build_experiment(cfg)
+    handoffs = []
+    monkeypatch.setattr(network, "_worker", lambda: handoffs.append(1))
+    train(replace(cfg.train, iters=1), ds, split)
+    assert handoffs == []
 
 
 def test_resume_refuses_other_config(tmp_path, small_gmm):
