@@ -61,11 +61,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from .config import build_experiment
     from .errors import ConfigurationError
-    from .trainer import check_fit, evaluate, load_checkpoint, topk_permutation_accuracy
+    from .network import Model
+    from .trainer import check_fit, eval_summary, load_checkpoint
 
     if args.topk < 0:
         raise ConfigurationError(f"--topk must be >= 0, got {args.topk}")
@@ -75,27 +74,17 @@ def cmd_eval(args) -> int:
         state = load_checkpoint(args.checkpoint)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
-    model = state["model"]
+    model = Model.from_arch(state["arch"], state["ema_shadow_arr"])  # evaluation only reads it
     check_fit(model, None, dataset, split)
-    model.set_params(state["ema_shadow_arr"])
     if split.test_idx.size == 0:
         raise ConfigurationError("test split is empty; nothing to evaluate")
-    cls_acc, clu_acc, perm = evaluate(
-        model, dataset.features[split.test_idx], dataset.labels[split.test_idx]
-    )
-    print(f"test classification accuracy: {cls_acc:.4f}")
-    print(f"test clustering accuracy:     {clu_acc:.4f}")
-    print(f"best cluster->class permutation: {perm.tolist()}")
+    fields = eval_summary(model, dataset, split, args.topk, state["config"]["logit_temperature"])
+    print(f"test classification accuracy: {fields['test_cls_acc']:.4f}")
+    print(f"test clustering accuracy:     {fields['test_clu_acc']:.4f}")
+    print(f"best cluster->class permutation: {fields['best_perm']}")
     if args.topk:
-        temperature = state["config"]["logit_temperature"]
-        curve = topk_permutation_accuracy(
-            model,
-            dataset.features[split.labeled_idx], dataset.labels[split.labeled_idx],
-            dataset.features[split.test_idx], dataset.labels[split.test_idx],
-            k=args.topk, temperature=temperature,
-        )
         print("k,accuracy")
-        for i, acc in enumerate(np.asarray(curve).tolist(), start=1):
+        for i, acc in enumerate(fields["topk_curve"], start=1):
             print(f"{i},{acc!r}")
     return 0
 

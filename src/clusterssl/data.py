@@ -95,17 +95,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Index sets over one Dataset. labeled is a subset of the unlabeled pool."""
+    """Index sets over one Dataset. labeled is a subset of the unlabeled pool,
+    class by class in class order (sorted within each class)."""
 
-    labeled_by_class: tuple[np.ndarray, ...]
+    labeled_idx: np.ndarray
     unlabeled_idx: np.ndarray
     test_idx: np.ndarray
-
-    @property
-    def labeled_idx(self) -> np.ndarray:
-        if not self.labeled_by_class:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(self.labeled_by_class)
 
 
 # The checks below need no data, so config loading runs them too; their
@@ -250,10 +245,11 @@ def partition(ds: Dataset, labels_per_class: int, test_frac: float, seed: int) -
             raise ConfigurationError(
                 f"class {cls} has {pool.size} training points, cannot label {labels_per_class}"
             )
-        labeled.append(np.sort(pool[:labels_per_class]).astype(np.int64))
+        labeled.append(np.sort(pool[:labels_per_class]))
+    labeled_idx = np.concatenate(labeled).astype(np.int64)
     unlabeled = np.sort(np.concatenate(train_parts)).astype(np.int64)
     test_idx = np.sort(np.concatenate(test_parts)).astype(np.int64)
-    return DatasetSplit(tuple(labeled), unlabeled, test_idx)
+    return DatasetSplit(labeled_idx, unlabeled, test_idx)
 
 
 def write_record(fh, arr: np.ndarray) -> None:

@@ -8,8 +8,9 @@ chain by hand (no autodiff).
 All parameters live in one flat float64 vector; ``layer_views`` is the
 only place that knows its layout. Layers come in order trunk, cluster
 head, rotation head, and each layer holds its row-major ``(out, in)``
-weight followed by its bias. Every layer's weight and bias are views into
-the model's vector, and backward returns gradients in the same layout.
+weight followed by its bias. A layer is a ``Layer`` pair of views into the
+model's vector, and backward writes gradients through the same views of
+its gradient vector.
 
 The hot path writes into arrays it already owns: on one BLAS thread a
 448x128 ``x @ W.T + b`` took 671 us against 345 us with the bias added in
@@ -38,12 +39,11 @@ scratch the model keeps for its life, where a rows x width scratch took
 on one core read 211 against 346 us at 448x512, 392 against 640 us at
 800x512 and 34.7 against 34.5 us at 448x128.
 
-The trunk's large forward passes run on two CPUs. When a batch has at
-least ``split_rows`` rows, one worker thread runs rows ``[rows // 2:]``
-through every trunk layer into their rows of the activation slots, with a
-second 128 KB scratch, while the caller runs the first half; the caller
-joins the worker, also when either half raises, and then runs the head
-whole. At
+The trunk's large forward passes run on two CPUs. When a batch has at least
+``split_rows`` rows, one worker thread runs rows ``[rows // 2:]`` through
+every trunk layer into their rows of the activation slots, with a second
+128 KB scratch, while the caller runs the first half; the caller joins the
+worker, also when either half raises, and then runs the head whole. At
 gmm_wide_k10's 128-512-512 trunk that takes the 800-row evals and the 448-
 and ~340-row SSL passes, not its 64-row batches; no batch of gmm_k4 or
 shapes8 qualifies, and backward always runs whole. The rule's width part,
@@ -76,6 +76,7 @@ import math
 import os
 from concurrent import futures
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,13 +107,8 @@ def openblas_info() -> dict:
 def split_rows(shapes) -> float:
     """The least batch whose products through layers of these ``(out, in)`` shapes
     may run as two row halves, ``[:rows // 2]`` and ``[rows // 2:]``, and give the
-    bytes of the whole products; inf where no batch may.
-
-    Every width must be a multiple of 8 and each half at least 2 rows, for the
-    bytes: other widths leave kernel tails that sum in another order, and numpy
-    runs a one-row half as a matrix-vector product. Each layer's half must hold
-    at least ``SPLIT_MACS`` multiply-adds, for speed, which also keeps it clear of
-    the small products whose halves can sum in another order."""
+    bytes of the whole products; inf where no batch may. The module docstring
+    states the rule and why."""
     if not shapes or any(out % 8 or in_dim % 8 for out, in_dim in shapes):
         return math.inf
     return max(4, *(2 * -(-SPLIT_MACS // (out * in_dim)) for out, in_dim in shapes))
@@ -212,36 +208,30 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return loss, d_logits / m
 
 
-def layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[tuple[np.ndarray, ...]]:
+class Layer(NamedTuple):
+    """One layer's row-major ``(out, in)`` weight and its bias, views into a flat vector."""
+
+    weight: np.ndarray
+    bias: np.ndarray
+
+
+def layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[Layer]:
     """Per-layer ``(weight, bias)`` views into a flat vector, one per ``(out, in)`` shape."""
     views = []
     pos = 0
     for out_dim, in_dim in shapes:
         weight = flat[pos : pos + out_dim * in_dim].reshape(out_dim, in_dim)
         pos += out_dim * in_dim
-        views.append((weight, flat[pos : pos + out_dim]))
+        views.append(Layer(weight, flat[pos : pos + out_dim]))
         pos += out_dim
     return views
 
 
-class AffineLayer:
-    """y = x @ W.T + b over caller-owned weight and bias arrays."""
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        self.weight = weight
-        self.bias = bias
-
-    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.matmul(x, self.weight.T, out=out)
-        out += self.bias
-        return out
-
-    def backward(
-        self, x: np.ndarray, d_out: np.ndarray, d_weight: np.ndarray, d_bias: np.ndarray
-    ) -> None:
-        """Write the weight and bias gradients; the caller forms d_x = d_out @ weight."""
-        np.matmul(d_out.T, x, out=d_weight)
-        d_out.sum(axis=0, out=d_bias)
+def affine(x: np.ndarray, layer: Layer, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ layer.weight.T + layer.bias`` into ``out`` (new when None), the bias added in place."""
+    out = np.matmul(x, layer.weight.T, out=out)
+    out += layer.bias
+    return out
 
 
 class Model:
@@ -296,9 +286,7 @@ class Model:
         if params.dtype != np.float64 or not params.flags.c_contiguous:
             raise ValueError(f"parameters must be a contiguous float64 vector, got {params.dtype}")
         self._params = params
-        *self.trunk, self.cluster_head, self.rot_head = (
-            AffineLayer(weight, bias) for weight, bias in layer_views(self._params, self._shapes)
-        )
+        *self.trunk, self.cluster_head, self.rot_head = layer_views(self._params, self._shapes)
         self._grads = np.empty(self.n_params)  # backward writes every entry
         self._relu_scratch = np.empty(BLOCK)
         self._split_rows = split_rows(self._shapes[: len(self.hidden_sizes)])
@@ -312,9 +300,6 @@ class Model:
     def params(self) -> np.ndarray:
         """The parameter vector itself, not a copy; write to it only through ``set_params``."""
         return self._params
-
-    def get_params(self) -> np.ndarray:
-        return self._params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
@@ -332,13 +317,8 @@ class Model:
 
     @classmethod
     def from_arch(cls, arch: dict, params: np.ndarray) -> "Model":
-        """A model of the given architecture holding a copy of ``params``; draws nothing."""
-        return cls._on_vector(arch, np.array(params, dtype=np.float64))
-
-    @classmethod
-    def _on_vector(cls, arch: dict, params: np.ndarray) -> "Model":
         """A model of the given architecture whose parameter vector is ``params`` itself,
-        for callers that own that vector or only read through the model; draws nothing."""
+        not a copy (pass ``params.copy()`` for an independent model); draws nothing."""
         model = cls.__new__(cls)
         model._build(arch["in_dim"], arch["hidden_sizes"], arch["k"], arch["leaky_slope"], params)
         return model
@@ -392,11 +372,11 @@ class Model:
                 futures.wait((job,))  # nothing reads or drops acts while the worker writes
             job.result()
         if head == "cluster":
-            pre = self.cluster_head.forward(acts[-1])
+            pre = affine(acts[-1], self.cluster_head)
             out, norms = l2_normalize_rows(pre)
             normalized, finite = (pre, out, norms), np.isfinite(norms)
         else:
-            out = self.rot_head.forward(acts[-1])
+            out = affine(acts[-1], self.rot_head)
             normalized, finite = None, np.isfinite(out)
         if not finite.all():
             # raise here: an overflowed norm would quietly zero its row, hiding the blow-up
@@ -407,7 +387,7 @@ class Model:
     def _trunk_rows(self, acts: list[np.ndarray], rows: slice, scratch: np.ndarray) -> None:
         """Run ``rows`` of the input through the trunk into the same rows of each slot."""
         for layer, below, z in zip(self.trunk, acts, acts[1:]):
-            leaky_relu(layer.forward(below[rows], out=z[rows]), self.leaky_slope, scratch)
+            leaky_relu(affine(below[rows], layer, out=z[rows]), self.leaky_slope, scratch)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """Backpropagate ``d_out`` through the head the cached forward ran; consumes the
@@ -423,22 +403,23 @@ class Model:
             raise ValueError(f"d_out shape {d_out.shape} != {(rows, head_layer.bias.size)}")
         *trunk_grads, cluster_grads, rot_grads = layer_views(self._grads, self._shapes)
         if head == "cluster":
-            d_out = l2_normalize_rows_backward(*normalized, d_out)
+            d_z = l2_normalize_rows_backward(*normalized, d_out)
             head_grads, idle_grads = cluster_grads, rot_grads
         else:
-            head_grads, idle_grads = rot_grads, cluster_grads
-        idle_grads[0][...] = idle_grads[1][...] = 0.0
-        head_layer.backward(acts[-1], d_out, *head_grads)
-        if not n_trunk:
-            return self._grads
-        d_h = np.matmul(d_out, head_layer.weight, out=self._buffer(n_trunk, rows, acts[-1].shape[1]))
-        d_h += 0.0  # as a sum started from zeros: -0.0 becomes +0.0, nothing else changes
-        for idx in range(n_trunk - 1, -1, -1):
-            # the layer's activation has had its last use and becomes its slope factor
-            d_h *= leaky_relu_factor(acts[idx + 1], self.leaky_slope)
-            layer = self.trunk[idx]
-            layer.backward(acts[idx], d_h, *trunk_grads[idx])
-            if idx:  # nothing upstream of the first layer needs its input gradient
-                # into the buffer of the activation whose slope factor was just used
-                d_h = np.matmul(d_h, layer.weight, out=self._buffer(idx, rows, acts[idx].shape[1]))
+            d_z, head_grads, idle_grads = d_out, rot_grads, cluster_grads
+        idle_grads.weight[...] = idle_grads.bias[...] = 0.0
+        chain = [*zip(self.trunk, trunk_grads), (head_layer, head_grads)]
+        for idx in range(n_trunk, -1, -1):  # the head, then the trunk from the top
+            layer, grads = chain[idx]
+            np.matmul(d_z.T, acts[idx], out=grads.weight)
+            d_z.sum(axis=0, out=grads.bias)
+            if not idx:  # nothing upstream of the first layer needs its input gradient
+                break
+            # the head's into the gradient buffer, a trunk layer's into the buffer of
+            # the activation whose slope factor was just used
+            d_z = np.matmul(d_z, layer.weight, out=self._buffer(idx, rows, acts[idx].shape[1]))
+            if idx == n_trunk:
+                d_z += 0.0  # as a sum started from zeros: -0.0 becomes +0.0, nothing else changes
+            # the activation has had its last use and becomes its slope factor
+            d_z *= leaky_relu_factor(acts[idx], self.leaky_slope)
         return self._grads

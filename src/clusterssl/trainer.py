@@ -7,17 +7,8 @@ resumable and, for a fixed BLAS thread count and kernel, bit-reproducible:
 checkpoints carry parameters, EMA shadow, optimizer velocity, pool bindings,
 generator state, the metric rows written so far, and the thread and numpy
 settings they were written under. Evaluation always uses the EMA shadow
-weights.
-
-The CPU count is not a condition. On one BLAS thread with two CPUs free,
-``Model.forward`` runs the trunk of a large pass (gmm_wide_k10's evals and
-SSL passes, no batch of the committed configs, never backward) as two row
-halves on two threads, under ``network.split_rows``: widths that are
-multiples of 8 and halves of two rows or more, so the halves sum as the
-whole product does, and at least 2^22 multiply-adds per layer in each half,
-so the thread handoff pays. The bytes are the same whether the halves ran
-at once or one after the other; the worker's BLAS buffer and scratch cost
-about 2.7 MB of peak RSS at gmm_wide_k10 (see the ``network`` docstring).
+weights. The CPU count is not a condition: the ``network`` docstring says
+why a forward pass split over two CPUs writes the same bytes.
 """
 
 from __future__ import annotations
@@ -222,6 +213,26 @@ def topk_permutation_accuracy(
     return np.maximum.accumulate((label_of_cluster[:, pred] == test_labels).mean(axis=1))
 
 
+def eval_summary(
+    model: Model, dataset: Dataset, split: DatasetSplit, topk: int, temperature: float,
+    scores: tuple[float, float, np.ndarray] | None = None,
+) -> dict:
+    """The test fields of a run summary: ``test_cls_acc``, ``test_clu_acc`` and
+    ``best_perm``, from ``scores`` when ``evaluate`` already gave them for this
+    model, and ``topk_curve`` over the ``topk`` best matchings when topk > 0."""
+    test = split.test_idx
+    cls_acc, clu_acc, perm = scores or evaluate(model, dataset.features[test], dataset.labels[test])
+    fields = {"test_cls_acc": cls_acc, "test_clu_acc": clu_acc, "best_perm": perm.tolist()}
+    if topk:
+        fields["topk_curve"] = topk_permutation_accuracy(
+            model,
+            dataset.features[split.labeled_idx], dataset.labels[split.labeled_idx],
+            dataset.features[test], dataset.labels[test],
+            k=topk, temperature=temperature,
+        ).tolist()
+    return fields
+
+
 # -- artifacts -------------------------------------------------------------
 
 
@@ -401,7 +412,7 @@ def load_checkpoint(path: str) -> dict:
         raise ValueError(f"checkpoint {path}: config is not a valid TrainConfig: {exc}") from None
     params, ema_shadow, velocity = _read_tensors(path, state["tensors"])
     try:
-        model = Model._on_vector(state["arch"], params)  # the vector just read, not a copy
+        model = Model.from_arch(state["arch"], params)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path}: arch and params do not make a model: {exc}") from None
     for key, values in (("ema_shadow", ema_shadow), ("velocity", velocity)):
@@ -526,7 +537,7 @@ class _Driver:
 
     def eval_model(self) -> Model:
         """A model on the EMA shadow itself: evaluation only reads it."""
-        return Model._on_vector(self.model.arch(), self.ema.shadow)
+        return Model.from_arch(self.model.arch(), self.ema.shadow)
 
     def run_warmup(self) -> None:
         for epoch in range(self.cfg.warmup_rot_epochs):
@@ -617,7 +628,6 @@ def train(
         driver.write_outputs()
         raise
 
-    eval_model = driver.eval_model()
     summary: dict = {
         "version": __version__,
         "config": cfg.to_dict(),
@@ -625,21 +635,10 @@ def train(
         "iterations_run": cfg.iters,
     }
     if split.test_idx.size:
-        cls_acc, clu_acc, perm = driver.last_eval or evaluate(
-            eval_model, dataset.features[split.test_idx], dataset.labels[split.test_idx]
-        )
-        summary.update(
-            test_cls_acc=cls_acc, test_clu_acc=clu_acc, best_perm=perm.tolist()
-        )
-        if driver.rot_ok and split.labeled_idx.size:
-            curve = topk_permutation_accuracy(
-                eval_model,
-                dataset.features[split.labeled_idx], dataset.labels[split.labeled_idx],
-                dataset.features[split.test_idx], dataset.labels[split.test_idx],
-                k=100,  # every one of K! <= 100 permutations, else the best 100
-                temperature=cfg.logit_temperature,
-            )
-            summary["topk_curve"] = curve.tolist()
+        # every one of K! <= 100 permutations, else the best 100
+        topk = 100 if driver.rot_ok and split.labeled_idx.size else 0
+        summary.update(eval_summary(driver.eval_model(), dataset, split, topk,
+                                    cfg.logit_temperature, driver.last_eval))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with _atomic_open(os.path.join(out_dir, "summary.json")) as fh:

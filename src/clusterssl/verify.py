@@ -118,7 +118,7 @@ def verify_murty(n_matrices: int = 200, size: int = 5, k: int = 10, seed: int = 
 
 def _fd_max_rel_err(model: Model, loss_fn, h: float) -> float:
     grads = loss_fn(model)[1].copy()  # the model's gradient vector; the next backward overwrites it
-    theta = model.get_params()
+    theta = model.params.copy()
     worst = 0.0
     for j in range(theta.shape[0]):
         orig = theta[j]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from clusterssl.cli import main
@@ -238,6 +239,42 @@ def test_eval_topk_curve(tmp_path, capsys):
     assert [r[0] for r in rows] == ["1", "2", "3"]
     accs = [float(r[1]) for r in rows]
     assert accs == sorted(accs)  # running best never decreases
+
+
+def test_eval_reads_the_ema_shadow_in_place(tmp_path, capsys, monkeypatch):
+    import clusterssl.trainer as trainer_mod
+
+    out = str(tmp_path / "run")
+    path = write_cfg(tmp_path, dict(SHAPES_TRAIN, out_dir=out))
+    assert main(["train", "--config", path]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    states, calls = [], []
+    load, eval_summary = trainer_mod.load_checkpoint, trainer_mod.eval_summary
+
+    def load_capture(*args):
+        states.append(load(*args))
+        return states[-1]
+
+    def summary_capture(model, *args):
+        calls.append((model, eval_summary(model, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(trainer_mod, "load_checkpoint", load_capture)
+    monkeypatch.setattr(trainer_mod, "eval_summary", summary_capture)
+    # train's summary ranks 100 matchings, every one of the 3! here
+    assert main(["eval", "--config", path, "--checkpoint", os.path.join(out, "checkpoint.json"),
+                 "--topk", "100"]) == 0
+    capsys.readouterr()
+    (state,), ((model, fields),) = states, calls
+    for layer in (*model.trunk, model.cluster_head, model.rot_head):
+        assert np.shares_memory(layer.weight, state["ema_shadow_arr"])
+        assert not np.shares_memory(layer.weight, state["model"].params)
+    assert not np.shares_memory(model.params, state["model"].params)
+    keys = ("test_cls_acc", "test_clu_acc", "best_perm", "topk_curve")
+    assert set(fields) == set(keys) and len(fields["topk_curve"]) == 6
+    assert fields == {key: summary[key] for key in keys}
 
 
 @pytest.mark.parametrize("run, topk", [("toy_gmm", "0"), ("shapes8", "24")])

@@ -194,10 +194,10 @@ def test_rotation_epoch_raises_on_an_overflowed_trunk(rng):
     # a rotation-only forward computes no cluster norms; its logits are checked instead
     model = Model(64, (8, 8), 4, rng=rng)
     model.set_params(model.params * 1e160)  # the second trunk layer overflows to inf
-    before = model.get_params()
+    before = model.params.copy()
     cfg = TrainConfig(batch_size=4)
     opt = Sgd(model.n_params, cfg.momentum)
-    ema = EmaState(model.get_params(), 0.99)
+    ema = EmaState(model.params.copy(), 0.99)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match="rotation"):
         rotation_epoch(model, rng.normal(size=(8, 8, 8)), np.arange(8), cfg, opt, ema, rng)
     assert np.array_equal(model.params.view(np.uint64), before.view(np.uint64))
@@ -211,7 +211,7 @@ def test_clustering_epoch_runs_and_counts(rng):
     feats = rng.normal(size=(n, 16))
     cfg = TrainConfig(batch_size=16)
     opt = Sgd(model.n_params, cfg.momentum)
-    ema = EmaState(model.get_params(), 0.99)
+    ema = EmaState(model.params.copy(), 0.99)
     stats = clustering_epoch(pool, model, feats, np.arange(n), cfg, opt, ema, rng)
     pool.check_invariants()
     assert np.isfinite(stats.loss_cluster)

@@ -196,11 +196,10 @@ def check_split_structure(split, ds, labels_per_class):
     pool = set(split.unlabeled_idx.tolist())
     if test & pool:
         raise AssertionError("test indices leak into the training pool")
-    if len(split.labeled_by_class) != ds.k:
-        raise AssertionError("labeled_by_class must have one entry per class")
-    for cls, idx in enumerate(split.labeled_by_class):
-        if idx.shape[0] != labels_per_class:
-            raise AssertionError(f"class {cls} has {idx.shape[0]} labeled points, want {labels_per_class}")
+    if split.labeled_idx.shape != (ds.k * labels_per_class,):
+        raise AssertionError(f"labeled_idx must hold {labels_per_class} points per class")
+    for cls in range(ds.k):
+        idx = split.labeled_idx[cls * labels_per_class : (cls + 1) * labels_per_class]
         if not np.all(ds.labels[idx] == cls):
             raise AssertionError(f"labeled indices for class {cls} carry wrong labels")
         if not set(idx.tolist()) <= pool:
@@ -213,9 +212,41 @@ def test_partition_structure(small_gmm):
     assert np.intersect1d(split.test_idx, split.unlabeled_idx).size == 0
     # labeled examples stay inside the unlabeled pool (transductive pool)
     assert np.all(np.isin(split.labeled_idx, split.unlabeled_idx))
-    for c, idx in enumerate(split.labeled_by_class):
-        assert idx.size == 4
-        assert np.all(ds.labels[idx] == c)
+    # class by class, in class order
+    assert np.array_equal(ds.labels[split.labeled_idx], np.repeat(np.arange(ds.k), 4))
+
+
+def reference_labeled_picks(ds, labels_per_class, test_frac, seed):
+    """Each class's labeled picks as partition once stored them, one sorted array per
+    class; None where a class has too few training points."""
+    rng = np.random.default_rng(seed)
+    train_parts = []
+    for cls in range(ds.k):
+        members = np.flatnonzero(ds.labels == cls)
+        members = members[rng.permutation(members.size)]
+        train_parts.append(members[round(test_frac * members.size):])
+    if any(pool.size < labels_per_class for pool in train_parts):
+        return None
+    return [np.sort(pool[:labels_per_class]).astype(np.int64) for pool in train_parts]
+
+
+@given(data=st.data())
+def test_stored_labeled_index_is_the_class_major_concatenation(data):
+    k = data.draw(st.integers(1, 8), label="k")
+    n = data.draw(st.integers(k, 300), label="n")
+    labels_per_class = data.draw(st.integers(1, 12), label="labels_per_class")
+    test_frac = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]), label="test_frac")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ds = make_gaussian_mixture(k, n, k, 1.0, seed=0)
+    picks = reference_labeled_picks(ds, labels_per_class, test_frac, seed)
+    if picks is None:
+        with pytest.raises(ConfigurationError):
+            partition(ds, labels_per_class, test_frac, seed)
+        return
+    split = partition(ds, labels_per_class, test_frac, seed)
+    assert split.labeled_idx.dtype == np.int64
+    assert split.labeled_idx.shape == (k * labels_per_class,)
+    assert np.array_equal(split.labeled_idx, np.concatenate(picks))
 
 
 def test_partition_deterministic(small_gmm):

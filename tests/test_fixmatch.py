@@ -121,12 +121,12 @@ def test_run_epoch_step_count_and_stats(rng, monkeypatch):
     unlabeled_idx = np.arange(8, n)
     cfg = TrainConfig(mu=2, batch_size=16, lr_ssl=0.01, wd_ssl=0.0)  # chunks of 32 over 112
     opt = Sgd(model.n_params, cfg.momentum)
-    ema = EmaState(model.get_params(), 0.99)
-    before = model.get_params().copy()
+    ema = EmaState(model.params.copy(), 0.99)
+    before = model.params.copy()
     stats = run_epoch(model, feats, labels, labeled_idx, unlabeled_idx,
                       cfg, opt, ema, np.random.default_rng(0))
     assert len(steps) == int(np.ceil(112 / 32))
     assert 0.0 <= stats.mask_rate <= 1.0
     assert np.isfinite(stats.loss_s)
-    assert not np.array_equal(model.get_params(), before)
-    assert not np.array_equal(ema.shadow, model.get_params())
+    assert not np.array_equal(model.params, before)
+    assert not np.array_equal(ema.shadow, model.params)

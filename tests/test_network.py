@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from clusterssl import network
 from clusterssl.errors import DivergenceError
 from clusterssl.network import (
-    AffineLayer,
+    Layer,
     Model,
+    affine,
     layer_views,
     l2_normalize_rows,
     l2_normalize_rows_backward,
@@ -170,19 +171,24 @@ def test_cross_entropy_rejects_bad_input():
 
 
 def test_affine_layer_shapes_and_grad(rng):
-    layer = AffineLayer(rng.normal(size=(3, 6)), np.zeros(3))
+    layer = Layer(rng.normal(size=(3, 6)), rng.normal(size=3))
     x = rng.normal(size=(5, 6))
-    out = layer.forward(x)
+    out = affine(x, layer)
     assert out.shape == (5, 3)
-    d_w, d_b = np.empty((3, 6)), np.empty(3)
-    assert layer.backward(x, np.ones((5, 3)), d_w, d_b) is None
-    assert np.allclose(d_w, np.ones((3, 5)) @ x)
+    assert np.allclose(out, x @ layer.weight.T + layer.bias)
+    buf = np.empty((5, 3))
+    assert affine(x, layer, out=buf) is buf and np.array_equal(buf, out)
+    # with no trunk the rotation head is one affine layer, whose gradients backward writes
+    model = Model(6, (), 3, rng=rng)
+    model.forward(x, head="rotation")
+    *_, (d_w, d_b) = layer_views(model.backward(np.ones((5, 4))), model._shapes)
+    assert np.allclose(d_w, np.ones((4, 5)) @ x)
     assert np.allclose(d_b, 5.0)
 
 
 def test_layers_are_views_in_layout_order(rng):
     model = Model(6, (5, 4), 3, rng=rng)
-    theta = model.get_params()
+    theta = model.params.copy()
     shapes = [(5, 6), (4, 5), (3, 4), (4, 4)]
     views = layer_views(theta, shapes)
     layers = [*model.trunk, model.cluster_head, model.rot_head]
@@ -242,22 +248,24 @@ def test_init_draws_what_rng_normal_draws(seed, in_dim, hidden, k):
 
 def test_params_round_trip_and_copy(rng):
     model = Model(6, (10,), 4, rng=rng)
-    theta = model.get_params()
-    clone = Model.from_arch(model.arch(), model.params)
-    assert np.array_equal(clone.get_params(), theta)
+    theta = model.params.copy()
+    clone = Model.from_arch(model.arch(), model.params.copy())
+    assert np.array_equal(clone.params, theta)
     clone.set_params(theta * 2)
-    assert np.array_equal(model.get_params(), theta)  # copy is independent
+    assert np.array_equal(model.params, theta)  # a model on a copy is independent
     model.set_params(theta)
     assert model.n_params == theta.shape[0]
 
 
 def test_arch_round_trip(rng):
     model = Model(6, (10, 5), 4, leaky_slope=0.05, rng=rng)
-    rebuilt = Model.from_arch(model.arch(), model.params)
+    rebuilt = Model.from_arch(model.arch(), model.params.copy())
     assert rebuilt.in_dim == 6 and rebuilt.k == 4 and rebuilt.leaky_slope == 0.05
     assert rebuilt.n_params == model.n_params
     assert np.array_equal(rebuilt.params, model.params)
     assert not np.shares_memory(rebuilt.params, model.params)
+    # a model on the vector itself, not a copy
+    assert Model.from_arch(model.arch(), model.params).params is model.params
     with pytest.raises(ValueError):
         Model.from_arch(model.arch(), model.params[:-1])
 
@@ -269,7 +277,7 @@ def test_rebuilding_a_model_draws_nothing(tmp_path, rng, monkeypatch):
 
     model = Model(6, (5,), 3, rng=rng)
     path = str(tmp_path / "ck.json")
-    save_checkpoint(path, iteration=0, model=model, ema=EmaState(model.get_params(), 0.9),
+    save_checkpoint(path, iteration=0, model=model, ema=EmaState(model.params.copy(), 0.9),
                     opt=Sgd(model.n_params, 0.9), pool=init_target_pool(9, 3, 1.0, rng),
                     rng=rng, cfg=TrainConfig(), rows=[])
 
@@ -284,7 +292,7 @@ def test_rebuilding_a_model_draws_nothing(tmp_path, rng, monkeypatch):
 def test_full_model_gradient_matches_fd(rng):
     model = Model(5, (8,), 3, rng=rng)
     x = rng.normal(size=(4, 5))
-    theta = model.get_params()
+    theta = model.params.copy()
     h = 1e-6
     for head, width in (("cluster", 3), ("rotation", 4)):
         w = rng.normal(size=(4, width))
@@ -306,7 +314,7 @@ def test_full_model_gradient_matches_fd(rng):
 
 def test_forward_detects_activation_overflow(rng):
     model = Model(4, (8,), 3, rng=rng)
-    model.set_params(model.get_params() * 1e200)
+    model.set_params(model.params * 1e200)
     for head in ("cluster", "rotation"):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=head):
@@ -695,7 +703,7 @@ def test_an_overflowed_split_forward_diverges_after_the_join(use_worker):
     # every first-layer product is exactly 1.5e308, so adding the bias overflows
     # in both halves' ufuncs, and the head's norms come out non-finite
     model = wide_model()
-    params = model.get_params()
+    params = model.params.copy()
     model.trunk[0].weight[...] = 2.0**-7
     model.trunk[0].bias[...] = 1e308
     x = np.full((800, WIDE[0]), 1.5e308)

@@ -8,20 +8,20 @@ from clusterssl.optim import EmaState, Sgd
 
 def test_sgd_step_matches_hand_calc(rng):
     model = Model(3, (), 2, rng=rng)
-    theta0 = model.get_params().copy()
+    theta0 = model.params.copy()
     grads = rng.normal(size=theta0.shape)
     opt = Sgd(model.n_params, momentum=0.9)
 
     opt.step(model, grads, lr=0.5, weight_decay=0.1)
     want = theta0 - 0.5 * (grads + 0.1 * theta0)
-    assert np.allclose(model.get_params(), want, atol=1e-12)
+    assert np.allclose(model.params, want, atol=1e-12)
 
     # second step folds momentum into the velocity
-    theta1 = model.get_params().copy()
+    theta1 = model.params.copy()
     opt.step(model, grads, lr=0.5, weight_decay=0.1)
     vel = 0.9 * grads + grads
     want2 = theta1 - 0.5 * (vel + 0.1 * theta1)
-    assert np.allclose(model.get_params(), want2, atol=1e-12)
+    assert np.allclose(model.params, want2, atol=1e-12)
 
 
 def test_sgd_rejects_non_finite_grads(rng):
@@ -50,9 +50,9 @@ def test_per_phase_learning_rates_scale_step_norm(rng):
     norms = {}
     for lr in (0.03, 0.01):
         model = Model(6, (8,), 3, rng=np.random.default_rng(5))
-        before = model.get_params().copy()
+        before = model.params.copy()
         Sgd(model.n_params, momentum=0.9).step(model, grads, lr, 0.0)
-        norms[lr] = np.linalg.norm(model.get_params() - before)
+        norms[lr] = np.linalg.norm(model.params - before)
     assert norms[0.03] / norms[0.01] == pytest.approx(3.0, rel=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_in_place_updates_match_the_out_of_place_formulas_bit_for_bit(rng, monke
     model = Model(6, (9, 7), 3, rng=rng)
     opt = Sgd(model.n_params, cfg.momentum)
     ema = EmaState(model.params, cfg.ema_decay)
-    theta, velocity, shadow = model.get_params(), np.zeros(model.n_params), model.get_params()
+    theta, velocity, shadow = model.params.copy(), np.zeros(model.n_params), model.params.copy()
     for step in range(20):
         lr, wd = phases[step % 2]
         grads = rng.normal(size=model.n_params)
@@ -110,7 +110,7 @@ def test_in_place_updates_match_the_out_of_place_formulas_bit_for_bit(rng, monke
 
 def test_non_finite_update_leaves_the_parameters_untouched(rng):
     model = Model(3, (4,), 2, rng=rng)
-    before = model.get_params()
+    before = model.params.copy()
     opt = Sgd(model.n_params, momentum=0.9)
     huge = np.full(model.n_params, 1e308)
     with np.errstate(over="ignore"):

@@ -134,7 +134,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     from clusterssl.optim import EmaState, Sgd
 
     model = Model(6, (5,), 3, rng=rng)
-    ema = EmaState(model.get_params() * 0.5, 0.99)
+    ema = EmaState(model.params * 0.5, 0.99)
     opt = Sgd(model.n_params, 0.9, velocity=rng.normal(size=model.n_params))
     pool = init_target_pool(12, 3, 1.0, rng)
     path = str(tmp_path / "ck.json")
@@ -143,7 +143,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
                     pool=pool, rng=rng, cfg=TrainConfig(), rows=rows)
     state = load_checkpoint(path)
     assert state["iteration"] == 4
-    np.testing.assert_array_equal(state["model"].get_params(), model.get_params())
+    np.testing.assert_array_equal(state["model"].params, model.params)
     np.testing.assert_array_equal(state["ema_shadow_arr"], ema.shadow)
     np.testing.assert_array_equal(state["velocity_arr"], opt.velocity)
     assert state["rows"] == rows
@@ -217,7 +217,7 @@ def test_damaged_checkpoint_names_path_and_key(tmp_path, rng, damage, message):
 
     model = Model(6, (5,), 3, rng=rng)
     path = tmp_path / "ck.json"
-    save_checkpoint(str(path), iteration=1, model=model, ema=EmaState(model.get_params(), 0.9),
+    save_checkpoint(str(path), iteration=1, model=model, ema=EmaState(model.params.copy(), 0.9),
                     opt=Sgd(model.n_params, 0.9), pool=None, rng=rng, cfg=TrainConfig(), rows=[])
     state = json.loads(path.read_text())
     tensor_path = tmp_path / state["tensors"]["file"]
@@ -241,7 +241,7 @@ def test_checkpoint_is_a_manifest_and_one_tensor_file(tmp_path, rng):
     files = []
     for iteration in range(3):
         save_checkpoint(str(path), iteration=iteration, model=model,
-                        ema=EmaState(model.get_params(), 0.9), opt=Sgd(model.n_params, 0.9),
+                        ema=EmaState(model.params.copy(), 0.9), opt=Sgd(model.n_params, 0.9),
                         pool=None, rng=rng, cfg=TrainConfig(), rows=[])
         files.append(sorted(p.name for p in tmp_path.iterdir()))
     assert files == [["ck.a.cssr", "ck.json"], ["ck.b.cssr", "ck.json"], ["ck.a.cssr", "ck.json"]]
@@ -452,7 +452,7 @@ def test_alternation_accounting(small_gmm):
 
 def test_no_labeled_image_is_refused_before_any_work(tmp_path, small_gmm):
     ds, split = small_gmm
-    unlabeled_only = DatasetSplit((), split.unlabeled_idx, split.test_idx)
+    unlabeled_only = DatasetSplit(np.empty(0, dtype=np.int64), split.unlabeled_idx, split.test_idx)
     out = tmp_path / "run"
     with pytest.raises(ConfigurationError, match="labeled"):
         train(TrainConfig(**SMALL), ds, unlabeled_only, out_dir=str(out))
@@ -467,7 +467,7 @@ def test_determinism(small_gmm):
     a = train(cfg, ds, split)
     b = train(cfg, ds, split)
     assert a.csv_text() == b.csv_text()
-    np.testing.assert_array_equal(a.model.get_params(), b.model.get_params())
+    np.testing.assert_array_equal(a.model.params, b.model.params)
     np.testing.assert_array_equal(a.ema.shadow, b.ema.shadow)
 
 
@@ -494,7 +494,7 @@ def test_outputs_and_resume_are_byte_exact(tmp_path, small_gmm):
     resumed = train(cfg, ds, split, out_dir=part_dir,
                     resume_from=os.path.join(part_dir, "checkpoint.json"))
     assert open(os.path.join(part_dir, "metrics.csv")).read() == full_csv
-    np.testing.assert_array_equal(resumed.model.get_params(), rec.model.get_params())
+    np.testing.assert_array_equal(resumed.model.params, rec.model.params)
 
 
 def test_summary_reuses_the_last_eval(tmp_path, small_gmm, monkeypatch):
@@ -676,7 +676,7 @@ def test_divergence_aborts_and_keeps_last_checkpoint(tmp_path, small_gmm):
     assert os.path.exists(os.path.join(out, "metrics.csv"))
     state = load_checkpoint(os.path.join(out, "checkpoint.json"))
     assert state["iteration"] < cfg.iters
-    assert np.all(np.isfinite(state["model"].get_params()))
+    assert np.all(np.isfinite(state["model"].params))
 
 
 def test_zero_iters_is_warmup_only(tmp_path, small_gmm):
