@@ -75,7 +75,7 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
     model = Model.from_arch(state["arch"], state["ema_shadow_arr"])  # evaluation only reads it
-    check_fit(model, None, dataset, split)
+    check_fit(model, dataset)
     if split.test_idx.size == 0:
         raise ConfigurationError("test split is empty; nothing to evaluate")
     fields = eval_summary(model, dataset, split, args.topk, state["config"]["logit_temperature"])

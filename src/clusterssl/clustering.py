@@ -214,7 +214,6 @@ def rotation_accuracy(model: Model, images: np.ndarray) -> float:
 class ClusterEpochStats:
     loss_cluster: float
     confident_count: int
-    reassigned_count: int
 
 
 def _batched(order: np.ndarray, batch_size: int):
@@ -264,12 +263,11 @@ def clustering_epoch(
     order = rng.permutation(idx.size)
     cluster_losses = []
     confident_total = 0
-    reassigned_total = 0
     with model.epoch():
         for batch in _batched(order, cfg.batch_size):
             feats = features[idx[batch]]
             f = model.forward(flatten(feats))
-            reassigned_total += assign_batch(pool, pool.batch_plan(batch), f)
+            assign_batch(pool, pool.batch_plan(batch), f)
             classes = pool.img_class[batch]
             pseudo_idx, pseudo_cls = confident_pseudo(f, classes != UNASSIGNED, cfg.rho)
             confident_total += int(pseudo_idx.size)
@@ -284,4 +282,4 @@ def clustering_epoch(
             ema.update(model.params)
 
     loss_cluster = float(np.mean(cluster_losses)) if cluster_losses else float("nan")
-    return ClusterEpochStats(loss_cluster, confident_total, reassigned_total)
+    return ClusterEpochStats(loss_cluster, confident_total)

@@ -59,8 +59,6 @@ def labeled_loss_grads(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the weakly augmented labeled batch."""
     y = np.asarray(y, dtype=np.int64)
-    if y.size and (y.min() < 0 or y.max() >= model.k):
-        raise ValueError(f"labels out of range [0, {model.k})")
     aug = apply_batch(g_spec, np.asarray(x, dtype=np.float64), rng)
     return _bridge_loss(model, flatten(aug), y, temperature)
 

@@ -108,6 +108,7 @@ class TrainConfig:
 # config holds every TrainConfig field, so no default fills a gap
 _OBJECT_KEYS = {
     "arch": ("in_dim", "hidden_sizes", "k", "leaky_slope"),
+    "pool": ("n", "k", "per_cluster", "img_class"),
     "config": tuple(f.name for f in fields(TrainConfig)),
     "tensors": ("file", "bytes", "crc32"),
     "environment": (*THREAD_VARS, "numpy"),
@@ -140,12 +141,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     for row in rows:
         lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def _row(iter_no: int, phase: str, epoch: int, **vals) -> dict:
-    row = {"iter": iter_no, "phase": phase, "epoch": epoch}
-    row.update(vals)
-    return row
 
 
 # -- evaluation ------------------------------------------------------------
@@ -291,7 +286,7 @@ def save_checkpoint(
     model: Model,
     ema: EmaState,
     opt: Sgd,
-    pool: TargetPool | None,
+    pool: TargetPool,
     rng: np.random.Generator,
     cfg: TrainConfig,
     rows: list[dict],
@@ -317,7 +312,7 @@ def save_checkpoint(
         "iteration": iteration,
         "arch": model.arch(),
         "ema_decay": ema.decay,
-        "pool": pool.to_state() if pool is not None else None,
+        "pool": pool.to_state(),
         "rng_state": rng.bit_generator.state,
         "config": cfg.to_dict(),
         "rows": rows,
@@ -419,14 +414,24 @@ def load_checkpoint(path: str) -> dict:
         if values.size != model.n_params:
             raise ValueError(
                 f"checkpoint {path}: {key} holds {values.size} values, expected {model.n_params}")
+    for key in ("hidden_sizes", "leaky_slope"):
+        if state["arch"][key] != state["config"][key]:
+            raise ValueError(f"checkpoint {path}: arch.{key} {state['arch'][key]!r} differs from "
+                             f"config.{key} {state['config'][key]!r}")
+    if state["pool"]["k"] != model.k:
+        raise ValueError(f"checkpoint {path}: pool.k {state['pool']['k']!r} is not arch.k {model.k}")
+    try:
+        TargetPool.from_state(state["pool"])
+    except (AssertionError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: pool is not a valid target pool: {exc}") from None
     state["model"] = model
     state["ema_shadow_arr"] = ema_shadow
     state["velocity_arr"] = velocity
     return state
 
 
-def check_fit(model: Model, pool: TargetPool | None, dataset: Dataset, split: DatasetSplit):
-    """Raise ConfigurationError unless the model (and pool) were built for this data."""
+def check_fit(model: Model, dataset: Dataset) -> None:
+    """Raise ConfigurationError unless the model was built for this data."""
     if model.k != dataset.k:
         raise ConfigurationError(
             f"model has {model.k} clusters but dataset has {dataset.k} classes"
@@ -436,154 +441,42 @@ def check_fit(model: Model, pool: TargetPool | None, dataset: Dataset, split: Da
         raise ConfigurationError(
             f"model expects {model.in_dim}-dim inputs but dataset items have {in_dim}"
         )
-    n_unlabeled = split.unlabeled_idx.size
-    if pool is not None and pool.n != n_unlabeled:
-        raise ConfigurationError(
-            f"target pool covers {pool.n} unlabeled images but the split has {n_unlabeled}"
-        )
 
 
 # -- the trainer -----------------------------------------------------------
 
 
-class _Driver:
-    """Owns all mutable run state; train() is the public face."""
+def _resume(path: str, cfg: TrainConfig, dataset: Dataset, split: DatasetSplit):
+    """(model, pool, opt, ema, rng, rows, iteration) of the checkpoint at ``path``.
 
-    def __init__(self, cfg: TrainConfig, dataset: Dataset, split: DatasetSplit, out_dir: str | None):
-        self.cfg = cfg
-        self.dataset = dataset
-        self.split = split
-        self.out_dir = out_dir
-        square = dataset.is_image and dataset.features.shape[1] == dataset.features.shape[2]
-        self.rot_ok = cfg.rotnet and square
-        if cfg.rotnet and not square and cfg.warmup_rot_epochs:
-            logger.warning("rotation pretext disabled: data is not square-image shaped")
-        self.rows: list[dict] = []
-        self.start_iter = 1
-        # (cls_acc, clu_acc, perm) of the newest eval this call made; the
-        # summary reuses it because nothing changes the EMA shadow after it
-        self.last_eval: tuple[float, float, np.ndarray] | None = None
-
-        self.in_dim = int(np.prod(dataset.item_shape))
-
-    def fresh_state(self) -> None:
-        cfg = self.cfg
-        self.rng = np.random.default_rng(cfg.seed)
-        self.model = Model(
-            self.in_dim, cfg.hidden_sizes, self.dataset.k, cfg.leaky_slope, rng=self.rng
-        )
-        self.pool = init_target_pool(self.split.unlabeled_idx.size, self.dataset.k, cfg.alpha, self.rng)
-        self.opt = Sgd(self.model.n_params, cfg.momentum)
-        self.ema = EmaState(self.model.params, cfg.ema_decay)
-
-    def resume_state(self, path: str) -> None:
-        state = load_checkpoint(path)
-        if state["config"] != self.cfg.to_dict():
-            raise ConfigurationError("checkpoint was produced by a different config; refusing to resume")
-        if state["iteration"] > self.cfg.iters:
-            raise ConfigurationError(f"checkpoint {path} is at iteration {state['iteration']}, "
-                                     f"past the config's iters ({self.cfg.iters})")
-        self.model = state["model"]
-        try:
-            self.pool = TargetPool.from_state(state["pool"]) if state["pool"] is not None else None
-        except (AssertionError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"checkpoint {path} holds a damaged target pool: {exc!r}") from None
-        check_fit(self.model, self.pool, self.dataset, self.split)
-        self.ema = EmaState(state["ema_shadow_arr"], state["ema_decay"])
-        self.opt = Sgd(self.model.n_params, self.cfg.momentum, state["velocity_arr"])
-        self.rng = np.random.default_rng()
-        self.rng.bit_generator.state = state["rng_state"]
-        self.rows = list(state["rows"])
-        self.start_iter = state["iteration"] + 1
-        written = state["environment"]
-        changed = [f"{key} {written[key]!r} -> {value!r}"
-                   for key, value in _run_environment().items() if written[key] != value]
-        if changed:
-            logger.warning("resuming %s under other settings than it was written with (%s); "
-                           "the run may not reproduce an uninterrupted one bit for bit",
-                           path, ", ".join(changed))
-
-    # -- emission ----------------------------------------------------------
-
-    def emit(self, row: dict) -> None:
-        self.rows.append(row)
-        for key in ("L_s", "L_u", "L_c", "L_r"):
-            val = row.get(key)
-            if val is None:
-                continue
-            if not math.isfinite(val):
-                raise DivergenceError(f"{key} is non-finite")
-            if val > self.cfg.divergence_limit:
-                raise DivergenceError(f"{key} = {val} exceeds divergence limit")
-
-    def write_outputs(self) -> None:
-        if self.out_dir is None:
-            return
-        os.makedirs(self.out_dir, exist_ok=True)
-        with _atomic_open(os.path.join(self.out_dir, "metrics.csv")) as fh:
-            fh.write(rows_to_csv(self.rows))
-
-    def checkpoint(self, iteration: int) -> None:
-        if self.out_dir is None:
-            return
-        os.makedirs(self.out_dir, exist_ok=True)
-        save_checkpoint(
-            os.path.join(self.out_dir, "checkpoint.json"),
-            iteration=iteration, model=self.model, ema=self.ema, opt=self.opt,
-            pool=self.pool, rng=self.rng, cfg=self.cfg, rows=self.rows,
-        )
-
-    # -- phases ------------------------------------------------------------
-
-    def eval_model(self) -> Model:
-        """A model on the EMA shadow itself: evaluation only reads it."""
-        return Model.from_arch(self.model.arch(), self.ema.shadow)
-
-    def run_warmup(self) -> None:
-        for epoch in range(self.cfg.warmup_rot_epochs):
-            if not self.rot_ok:
-                break
-            loss = rotation_epoch(
-                self.model, self.dataset.features, self.split.unlabeled_idx,
-                self.cfg, self.opt, self.ema, self.rng,
-            )
-            self.emit(_row(0, "warmup", epoch, L_r=loss))
-
-    def run_iteration(self, t: int, on_cluster_epoch=None) -> None:
-        cfg = self.cfg
-        for epoch in range(cfg.e1):
-            stats = run_epoch(
-                self.model, self.dataset.features, self.dataset.labels,
-                self.split.labeled_idx, self.split.unlabeled_idx,
-                cfg, self.opt, self.ema, self.rng,
-            )
-            self.emit(_row(t, "ssl", epoch, L_s=stats.loss_s, L_u=stats.loss_u,
-                           mask_rate=stats.mask_rate))
-        for epoch in range(cfg.e2):
-            stats = clustering_epoch(
-                self.pool, self.model, self.dataset.features, self.split.unlabeled_idx,
-                cfg, self.opt, self.ema, self.rng,
-            )
-            loss_r = None
-            if self.rot_ok:
-                loss_r = rotation_epoch(
-                    self.model, self.dataset.features, self.split.unlabeled_idx,
-                    cfg, self.opt, self.ema, self.rng,
-                )
-            # nan means no batch contributed (all skipped), not divergence
-            loss_c = None if math.isnan(stats.loss_cluster) else stats.loss_cluster
-            self.emit(_row(t, "cluster", epoch, L_c=loss_c, L_r=loss_r,
-                           confident_count=stats.confident_count))
-            if on_cluster_epoch is not None:
-                on_cluster_epoch(self.pool, t, epoch)
-        if self.split.test_idx.size:
-            self.last_eval = evaluate(
-                self.eval_model(),
-                self.dataset.features[self.split.test_idx],
-                self.dataset.labels[self.split.test_idx],
-            )
-            cls_acc, clu_acc, _ = self.last_eval
-            self.emit(_row(t, "eval", 0, test_cls_acc=cls_acc, test_clu_acc=clu_acc))
+    Refuses a checkpoint of another config, past ``cfg.iters`` or built for
+    other data; warns when the thread or numpy settings differ from the ones
+    it was written under.
+    """
+    state = load_checkpoint(path)
+    if state["config"] != cfg.to_dict():
+        raise ConfigurationError("checkpoint was produced by a different config; refusing to resume")
+    if state["iteration"] > cfg.iters:
+        raise ConfigurationError(f"checkpoint {path} is at iteration {state['iteration']}, "
+                                 f"past the config's iters ({cfg.iters})")
+    model = state["model"]
+    pool = TargetPool.from_state(state["pool"])
+    check_fit(model, dataset)
+    if pool.n != split.unlabeled_idx.size:
+        raise ConfigurationError(f"target pool covers {pool.n} unlabeled images "
+                                 f"but the split has {split.unlabeled_idx.size}")
+    ema = EmaState(state["ema_shadow_arr"], state["ema_decay"])
+    opt = Sgd(model.n_params, cfg.momentum, state["velocity_arr"])
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state["rng_state"]
+    written = state["environment"]
+    changed = [f"{key} {written[key]!r} -> {value!r}"
+               for key, value in _run_environment().items() if written[key] != value]
+    if changed:
+        logger.warning("resuming %s under other settings than it was written with (%s); "
+                       "the run may not reproduce an uninterrupted one bit for bit",
+                       path, ", ".join(changed))
+    return model, pool, opt, ema, rng, list(state["rows"]), state["iteration"]
 
 
 def train(
@@ -592,56 +485,113 @@ def train(
     split: DatasetSplit,
     out_dir: str | None = None,
     resume_from: str | None = None,
-    on_cluster_epoch=None,
 ) -> RunRecord:
-    """Run the full alternation schedule; returns the record of the run.
+    """Run the full alternation schedule, fresh or from the checkpoint at
+    ``resume_from``; returns the record of the run.
 
-    With ``out_dir`` set, metrics.csv and the checkpoint (checkpoint.json
-    and the tensor file it names) are refreshed after warmup and after every
-    outer iteration, and summary.json at the end; a fresh run removes an
-    earlier run's summary.json before its first write. On divergence the
+    With ``out_dir`` set, the checkpoint (checkpoint.json and the tensor
+    file it names) and then metrics.csv are refreshed after warmup and after
+    every outer iteration, and summary.json at the end; a fresh run removes
+    an earlier run's summary.json before its first write. On divergence the
     last finite checkpoint is kept and the error re-raised.
-    ``on_cluster_epoch(pool, iter, epoch)`` is an instrumentation hook
-    invoked after every clustering epoch.
     """
     if cfg.iters > 0 and cfg.e1 > 0 and split.labeled_idx.size == 0:
         raise ConfigurationError("semi-supervised epochs (e1 > 0) need at least one labeled image")
-    driver = _Driver(cfg, dataset, split, out_dir)
+    features, labels = dataset.features, dataset.labels
+    unlabeled, test = split.unlabeled_idx, split.test_idx
+    square = dataset.is_image and features.shape[1] == features.shape[2]
+    rot_ok = cfg.rotnet and square
+    if cfg.rotnet and not square and cfg.warmup_rot_epochs:
+        logger.warning("rotation pretext disabled: data is not square-image shaped")
+
+    def emit(row: dict) -> None:
+        rows.append(row)
+        for key in ("L_s", "L_u", "L_c", "L_r"):
+            val = row.get(key)
+            if val is None:
+                continue
+            if not math.isfinite(val):
+                raise DivergenceError(f"{key} is non-finite")
+            if val > cfg.divergence_limit:
+                raise DivergenceError(f"{key} = {val} exceeds divergence limit")
+
+    def write_metrics() -> None:
+        if out_dir is None:
+            return
+        os.makedirs(out_dir, exist_ok=True)
+        with _atomic_open(os.path.join(out_dir, "metrics.csv")) as fh:
+            fh.write(rows_to_csv(rows))
+
+    def save(iteration: int) -> None:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            save_checkpoint(
+                os.path.join(out_dir, "checkpoint.json"), iteration=iteration, model=model,
+                ema=ema, opt=opt, pool=pool, rng=rng, cfg=cfg, rows=rows,
+            )
+        write_metrics()
+
+    def eval_model() -> Model:
+        """A model on the EMA shadow itself: evaluation only reads it."""
+        return Model.from_arch(model.arch(), ema.shadow)
+
     if resume_from is not None:
-        driver.resume_state(resume_from)
+        model, pool, opt, ema, rng, rows, done = _resume(resume_from, cfg, dataset, split)
     else:
-        driver.fresh_state()
-        driver.run_warmup()
+        rng = np.random.default_rng(cfg.seed)
+        model = Model(int(np.prod(dataset.item_shape)), cfg.hidden_sizes, dataset.k,
+                      cfg.leaky_slope, rng=rng)
+        pool = init_target_pool(unlabeled.size, dataset.k, cfg.alpha, rng)
+        opt = Sgd(model.n_params, cfg.momentum)
+        ema = EmaState(model.params, cfg.ema_decay)
+        rows, done = [], 0
+        for epoch in range(cfg.warmup_rot_epochs if rot_ok else 0):
+            loss = rotation_epoch(model, features, unlabeled, cfg, opt, ema, rng)
+            emit({"iter": 0, "phase": "warmup", "epoch": epoch, "L_r": loss})
         if out_dir is not None:
             with suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, "summary.json"))
-        driver.checkpoint(0)
-        driver.write_outputs()
+        save(0)
 
+    # (cls_acc, clu_acc, perm) of the newest eval this call made; the
+    # summary reuses it because nothing changes the EMA shadow after it
+    last_eval = None
     try:
-        for t in range(driver.start_iter, cfg.iters + 1):
-            driver.run_iteration(t, on_cluster_epoch)
-            driver.checkpoint(t)
-            driver.write_outputs()
+        for t in range(done + 1, cfg.iters + 1):
+            for epoch in range(cfg.e1):
+                stats = run_epoch(model, features, labels, split.labeled_idx, unlabeled,
+                                  cfg, opt, ema, rng)
+                emit({"iter": t, "phase": "ssl", "epoch": epoch, "L_s": stats.loss_s,
+                      "L_u": stats.loss_u, "mask_rate": stats.mask_rate})
+            for epoch in range(cfg.e2):
+                stats = clustering_epoch(pool, model, features, unlabeled, cfg, opt, ema, rng)
+                loss_r = None
+                if rot_ok:
+                    loss_r = rotation_epoch(model, features, unlabeled, cfg, opt, ema, rng)
+                # nan means no batch contributed (all skipped), not divergence
+                loss_c = None if math.isnan(stats.loss_cluster) else stats.loss_cluster
+                emit({"iter": t, "phase": "cluster", "epoch": epoch, "L_c": loss_c, "L_r": loss_r,
+                      "confident_count": stats.confident_count})
+            if test.size:
+                last_eval = evaluate(eval_model(), features[test], labels[test])
+                emit({"iter": t, "phase": "eval", "epoch": 0,
+                      "test_cls_acc": last_eval[0], "test_clu_acc": last_eval[1]})
+            save(t)
     except DivergenceError:
         logger.exception("run diverged; last finite checkpoint kept")
-        driver.write_outputs()
+        write_metrics()
         raise
 
-    summary: dict = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "n_params": driver.model.n_params,
-        "iterations_run": cfg.iters,
-    }
-    if split.test_idx.size:
+    summary = {"version": __version__, "config": cfg.to_dict(),
+               "n_params": model.n_params, "iterations_run": cfg.iters}
+    if test.size:
         # every one of K! <= 100 permutations, else the best 100
-        topk = 100 if driver.rot_ok and split.labeled_idx.size else 0
-        summary.update(eval_summary(driver.eval_model(), dataset, split, topk,
-                                    cfg.logit_temperature, driver.last_eval))
+        topk = 100 if rot_ok and split.labeled_idx.size else 0
+        summary.update(eval_summary(eval_model(), dataset, split, topk,
+                                    cfg.logit_temperature, last_eval))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with _atomic_open(os.path.join(out_dir, "summary.json")) as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-    return RunRecord(driver.rows, summary, driver.model, driver.ema)
+    return RunRecord(rows, summary, model, ema)

@@ -1,5 +1,6 @@
 import logging
 import os
+from contextlib import contextmanager
 
 from clusterssl import THREAD_VARS
 
@@ -45,3 +46,29 @@ def openblas():
     from clusterssl.network import openblas_info
 
     return openblas_info()
+
+
+@pytest.fixture(scope="session")
+def watch_clustering_epochs():
+    """``with watch_clustering_epochs(watch):`` calls ``watch(pool, n)`` after the
+    n-th clustering epoch that ``train`` runs inside the block returns, with the
+    live target pool, by wrapping the ``clustering_epoch`` that ``train`` looks up."""
+    from clusterssl import trainer
+
+    @contextmanager
+    def watching(watch):
+        epoch = trainer.clustering_epoch
+        n = 0
+
+        def watched(pool, *args, **kwargs):
+            nonlocal n
+            stats = epoch(pool, *args, **kwargs)
+            n += 1
+            watch(pool, n)
+            return stats
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "clustering_epoch", watched)
+            yield
+
+    return watching

@@ -108,7 +108,7 @@ def collapse_run(gmm2000, gmm_split):
 
 
 @pytest.fixture(scope="session")
-def determinism_runs(tmp_path_factory):
+def determinism_runs(tmp_path_factory, watch_clustering_epochs):
     ds = make_gaussian_mixture(4, 640, 16, 6.0, seed=7)
     split = partition(ds, 4, 0.2, seed=1)
     cfg = TrainConfig(iters=6, seed=3)
@@ -123,13 +123,13 @@ def determinism_runs(tmp_path_factory):
     class Stop(Exception):
         pass
 
-    def bail(pool, t, epoch):
-        if t == 3:
+    def bail(pool, n):
+        if n == 3:  # e2 = 1, so this is iteration 3's clustering epoch
             raise Stop
 
     part = base / "part"
-    with pytest.raises(Stop):
-        train(cfg, ds, split, out_dir=str(part), on_cluster_epoch=bail)
+    with watch_clustering_epochs(bail), pytest.raises(Stop):
+        train(cfg, ds, split, out_dir=str(part))
     rec = train(cfg, ds, split, out_dir=str(part),
                 resume_from=str(part / "checkpoint.json"))
     _register("resumed", rec, ds, split)
@@ -184,14 +184,14 @@ def test_criterion_03_gradient_fidelity():
     assert res.passed, res.detail
 
 
-def test_criterion_04_balanced_pool_invariants():
+def test_criterion_04_balanced_pool_invariants(watch_clustering_epochs):
     ds = make_gaussian_mixture(4, 640, 16, 6.0, seed=7)
     split = partition(ds, 4, 0.2, seed=1)
     per_cluster = split.unlabeled_idx.shape[0] // ds.k
     checks = 0
     violations = []
 
-    def hook(pool, t, epoch):
+    def watch(pool, n):
         nonlocal checks
         checks += 1
         pool.check_invariants()
@@ -199,10 +199,10 @@ def test_criterion_04_balanced_pool_invariants():
         # target; what can break is the count of live bindings per class
         counts = np.bincount(pool.img_class[pool.img_class != UNASSIGNED], minlength=ds.k)
         if not np.all(counts == per_cluster):
-            violations.append(f"iter {t}: bindings per class {counts.tolist()}")
+            violations.append(f"clustering epoch {n}: bindings per class {counts.tolist()}")
 
-    rec = train(TrainConfig(iters=50, e1=1, e2=1, seed=3), ds, split,
-                on_cluster_epoch=hook)
+    with watch_clustering_epochs(watch):
+        rec = train(TrainConfig(iters=50, e1=1, e2=1, seed=3), ds, split)
     _register("invariant-watch", rec, ds, split)
     ok = checks == 50 and not violations
     _report(4, ok, f"{checks} clustering epochs checked, {len(violations)} violations, "

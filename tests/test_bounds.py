@@ -124,6 +124,10 @@ def test_manifest_field_loads_or_is_named(tmp_path, toy_gmm_manifest, kind, inte
                 state["arch"]["hidden_sizes"][1] = value
             else:
                 state["arch"][name] = value
+            if table_accepts(kind, interval, value):
+                # a manifest's config must agree with its arch
+                state["config"].update(hidden_sizes=state["arch"]["hidden_sizes"],
+                                       leaky_slope=state["arch"]["leaky_slope"])
         else:
             state[key] = value
         with open(path, "w", encoding="utf-8") as fh:

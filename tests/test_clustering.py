@@ -216,7 +216,6 @@ def test_clustering_epoch_runs_and_counts(rng):
     pool.check_invariants()
     assert np.isfinite(stats.loss_cluster)
     assert stats.confident_count >= 0
-    assert 0 <= stats.reassigned_count <= n
 
 
 def test_frozen_model_reaches_fixed_point(rng):

@@ -279,7 +279,7 @@ def test_rebuilding_a_model_draws_nothing(tmp_path, rng, monkeypatch):
     path = str(tmp_path / "ck.json")
     save_checkpoint(path, iteration=0, model=model, ema=EmaState(model.params.copy(), 0.9),
                     opt=Sgd(model.n_params, 0.9), pool=init_target_pool(9, 3, 1.0, rng),
-                    rng=rng, cfg=TrainConfig(), rows=[])
+                    rng=rng, cfg=TrainConfig(hidden_sizes=(5,)), rows=[])
 
     def no_generator(*args, **kwargs):
         raise AssertionError("a rebuilt model drew random numbers")

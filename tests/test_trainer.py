@@ -13,7 +13,7 @@ import pytest
 
 from clusterssl import THREAD_VARS, network
 from clusterssl.assignment import count_injections
-from clusterssl.clustering import rotation_accuracy
+from clusterssl.clustering import TargetPool, init_target_pool, rotation_accuracy
 from clusterssl.config import ExperimentConfig, build_experiment, load_config
 from clusterssl.data import DatasetSplit, make_shape_images, partition, read_record, write_record
 from clusterssl.errors import ConfigurationError, DivergenceError
@@ -130,24 +130,24 @@ def test_topk_curve_reaches_bijection_optimum(rng):
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
-    from clusterssl.clustering import init_target_pool
     from clusterssl.optim import EmaState, Sgd
 
     model = Model(6, (5,), 3, rng=rng)
     ema = EmaState(model.params * 0.5, 0.99)
     opt = Sgd(model.n_params, 0.9, velocity=rng.normal(size=model.n_params))
     pool = init_target_pool(12, 3, 1.0, rng)
+    cfg = TrainConfig(hidden_sizes=(5,))
     path = str(tmp_path / "ck.json")
     rows = [{"iter": 1, "phase": "ssl", "epoch": 0, "L_s": 0.125}]
     save_checkpoint(path, iteration=4, model=model, ema=ema, opt=opt,
-                    pool=pool, rng=rng, cfg=TrainConfig(), rows=rows)
+                    pool=pool, rng=rng, cfg=cfg, rows=rows)
     state = load_checkpoint(path)
     assert state["iteration"] == 4
     np.testing.assert_array_equal(state["model"].params, model.params)
     np.testing.assert_array_equal(state["ema_shadow_arr"], ema.shadow)
     np.testing.assert_array_equal(state["velocity_arr"], opt.velocity)
     assert state["rows"] == rows
-    assert state["config"] == TrainConfig().to_dict()
+    assert state["config"] == cfg.to_dict()
 
 
 def test_checkpoint_rejects_damage(tmp_path):
@@ -184,6 +184,11 @@ def _flip_payload_byte(state, tensors):
     tensors[-100] ^= 1
 
 
+def _overbind_class_0(state, tensors):
+    pool = state["pool"]
+    pool["img_class"][pool["img_class"].index(1)] = 0
+
+
 @pytest.mark.parametrize("damage, message", [
     (None, "cannot read checkpoint"),
     (lambda st, t: st["arch"].pop("hidden_sizes"), "lacks key(s): arch.hidden_sizes"),
@@ -211,6 +216,15 @@ def _flip_payload_byte(state, tensors):
     (lambda st, t: st["rng_state"].update(bit_generator="MT19937"), "rng_state is not a PCG64 state"),
     (lambda st, t: st.update(rng_state=5), "rng_state is not a PCG64 state"),
     (lambda st, t: st["rng_state"].pop("state"), "rng_state is not a PCG64 state"),
+    (lambda st, t: st.update(pool=None), "pool is not a JSON object"),
+    (lambda st, t: st["pool"].pop("img_class"), "lacks key(s): pool.img_class"),
+    (_overbind_class_0, "pool is not a valid target pool: per-class binding counts"),
+    (lambda st, t: st.update(pool=TargetPool(9, 2, 4, np.array([0, 0, 0, 0, 1, 1, 1, 1, -1])).to_state()),
+     "pool.k 2 is not arch.k 3"),
+    (lambda st, t: st["config"].update(hidden_sizes=[128, 128]),
+     "arch.hidden_sizes [5] differs from config.hidden_sizes [128, 128]"),
+    (lambda st, t: st["config"].update(leaky_slope=0.2),
+     "arch.leaky_slope 0.01 differs from config.leaky_slope 0.2"),
 ])
 def test_damaged_checkpoint_names_path_and_key(tmp_path, rng, damage, message):
     from clusterssl.optim import EmaState, Sgd
@@ -218,7 +232,8 @@ def test_damaged_checkpoint_names_path_and_key(tmp_path, rng, damage, message):
     model = Model(6, (5,), 3, rng=rng)
     path = tmp_path / "ck.json"
     save_checkpoint(str(path), iteration=1, model=model, ema=EmaState(model.params.copy(), 0.9),
-                    opt=Sgd(model.n_params, 0.9), pool=None, rng=rng, cfg=TrainConfig(), rows=[])
+                    opt=Sgd(model.n_params, 0.9), pool=init_target_pool(9, 3, 1.0, rng), rng=rng,
+                    cfg=TrainConfig(hidden_sizes=(5,)), rows=[])
     state = json.loads(path.read_text())
     tensor_path = tmp_path / state["tensors"]["file"]
     if damage is None:
@@ -239,10 +254,11 @@ def test_checkpoint_is_a_manifest_and_one_tensor_file(tmp_path, rng):
     model = Model(6, (5,), 3, rng=rng)
     path = tmp_path / "ck.json"
     files = []
+    pool = init_target_pool(9, 3, 1.0, rng)
     for iteration in range(3):
         save_checkpoint(str(path), iteration=iteration, model=model,
                         ema=EmaState(model.params.copy(), 0.9), opt=Sgd(model.n_params, 0.9),
-                        pool=None, rng=rng, cfg=TrainConfig(), rows=[])
+                        pool=pool, rng=rng, cfg=TrainConfig(hidden_sizes=(5,)), rows=[])
         files.append(sorted(p.name for p in tmp_path.iterdir()))
     assert files == [["ck.a.cssr", "ck.json"], ["ck.b.cssr", "ck.json"], ["ck.a.cssr", "ck.json"]]
     state = json.loads(path.read_text())
@@ -374,7 +390,7 @@ def test_checkpoint_survives_a_crash_at_every_file_operation(tmp_path, small_gmm
             sorted(["checkpoint.json", tensor_file, "metrics.csv", "summary.json"])
 
 
-def test_fresh_run_clears_a_finished_runs_summary(tmp_path, small_gmm):
+def test_fresh_run_clears_a_finished_runs_summary(tmp_path, small_gmm, watch_clustering_epochs):
     ds, split = small_gmm
     out = str(tmp_path / "run")
     train(TrainConfig(**{**SMALL, "seed": 3}), ds, split, out_dir=out)
@@ -382,12 +398,12 @@ def test_fresh_run_clears_a_finished_runs_summary(tmp_path, small_gmm):
     class Stop(Exception):
         pass
 
-    def bail(pool, t, epoch):
-        if t == 2:
+    def bail(pool, n):
+        if n == 2:
             raise Stop
 
-    with pytest.raises(Stop):
-        train(TrainConfig(**{**SMALL, "seed": 4}), ds, split, out_dir=out, on_cluster_epoch=bail)
+    with watch_clustering_epochs(bail), pytest.raises(Stop):
+        train(TrainConfig(**{**SMALL, "seed": 4}), ds, split, out_dir=out)
     state = load_checkpoint(os.path.join(out, "checkpoint.json"))
     assert (state["config"]["seed"], state["iteration"]) == (4, 1)
     assert sorted(os.listdir(out)) == sorted(["checkpoint.json", state["tensors"]["file"], "metrics.csv"])
@@ -406,7 +422,7 @@ def test_fresh_run_into_a_used_directory_leaves_what_an_empty_one_gets(tmp_path,
 
 
 def test_resume_under_other_thread_settings_warns_and_completes(tmp_path, small_gmm, monkeypatch,
-                                                                 caplog):
+                                                                 caplog, watch_clustering_epochs):
     ds, split = small_gmm
     cfg = TrainConfig(**SMALL)
     full = train(cfg, ds, split)
@@ -414,13 +430,13 @@ def test_resume_under_other_thread_settings_warns_and_completes(tmp_path, small_
     class Stop(Exception):
         pass
 
-    def bail(pool, t, epoch):
-        if t == 2:
+    def bail(pool, n):
+        if n == 2:
             raise Stop
 
     out = str(tmp_path / "run")
-    with pytest.raises(Stop):
-        train(cfg, ds, split, out_dir=out, on_cluster_epoch=bail)
+    with watch_clustering_epochs(bail), pytest.raises(Stop):
+        train(cfg, ds, split, out_dir=out)
     ck = os.path.join(out, "checkpoint.json")
     written = load_checkpoint(ck)["environment"]
     assert written["numpy"] == np.__version__
@@ -471,7 +487,7 @@ def test_determinism(small_gmm):
     np.testing.assert_array_equal(a.ema.shadow, b.ema.shadow)
 
 
-def test_outputs_and_resume_are_byte_exact(tmp_path, small_gmm):
+def test_outputs_and_resume_are_byte_exact(tmp_path, small_gmm, watch_clustering_epochs):
     ds, split = small_gmm
     cfg = TrainConfig(**{**SMALL, "iters": 4})
     full_dir = str(tmp_path / "full")
@@ -484,13 +500,13 @@ def test_outputs_and_resume_are_byte_exact(tmp_path, small_gmm):
     class Stop(Exception):
         pass
 
-    def bail(pool, t, epoch):
-        if t == 2:
+    def bail(pool, n):
+        if n == 2:
             raise Stop
 
     part_dir = str(tmp_path / "part")
-    with pytest.raises(Stop):
-        train(cfg, ds, split, out_dir=part_dir, on_cluster_epoch=bail)
+    with watch_clustering_epochs(bail), pytest.raises(Stop):
+        train(cfg, ds, split, out_dir=part_dir)
     resumed = train(cfg, ds, split, out_dir=part_dir,
                     resume_from=os.path.join(part_dir, "checkpoint.json"))
     assert open(os.path.join(part_dir, "metrics.csv")).read() == full_csv
@@ -643,28 +659,6 @@ def test_resume_refuses_a_checkpoint_past_the_run(tmp_path, small_gmm):
         train(cfg, ds, split, out_dir=out, resume_from=ck)
     assert ck in str(info.value)
     assert not os.path.exists(os.path.join(out, "summary.json"))
-
-
-def _overbind_class_0(pool):
-    pool["img_class"][pool["img_class"].index(1)] = 0
-
-
-@pytest.mark.parametrize("damage", [_overbind_class_0, lambda pool: pool.pop("img_class")],
-                         ids=["class-bound-once-too-often", "bindings-missing"])
-def test_resume_refuses_a_damaged_pool(tmp_path, small_gmm, damage):
-    ds, split = small_gmm
-    cfg = TrainConfig(**{**SMALL, "iters": 1})
-    out = str(tmp_path / "run")
-    train(cfg, ds, split, out_dir=out)
-    ck = os.path.join(out, "checkpoint.json")
-    with open(ck, encoding="utf-8") as fh:
-        state = json.load(fh)
-    damage(state["pool"])
-    with open(ck, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-    with pytest.raises(ConfigurationError, match="damaged target pool") as info:
-        train(cfg, ds, split, resume_from=ck)
-    assert ck in str(info.value)
 
 
 def test_divergence_aborts_and_keeps_last_checkpoint(tmp_path, small_gmm):
